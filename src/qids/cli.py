@@ -153,7 +153,7 @@ def _cmd_demo_flaw(args) -> int:
     system = load_system(args.system)
     report = halt_timing_demo(system, args.depth, step_cap=args.step_cap)
     rng = np.random.default_rng(args.seed)
-    outcome, _ = measure(report.pre_measurement, rng)
+    outcome = measure(report.pre_measurement, rng)
 
     print(f"evolved {len(report.inputs)} inputs for {report.depth} steps")
     for memory, steps, halted, final in report.branch_table:

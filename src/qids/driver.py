@@ -7,6 +7,12 @@ that the classical predicate confirms as halting ends the search; otherwise
 the depth increases and the superposition is rebuilt from scratch, which is
 what restores the interference pattern a failed measurement destroyed.
 
+The round is not simulated: it samples from the closed-form probabilities
+of that state (`grover.amplified_probabilities`), in O(b**d) time whatever
+the iterate count. The draw is the same `rng.choice` over the flat register
+that measuring the dense state makes, so seeded reports match the dense
+engine's, which the `engine-agreement` check ties to this vector.
+
 Rebuilding makes the cost of re-scanning shallow levels geometric: with the
 optimal iterate policy the cumulative oracle-call count through depth d
 stays within 4 * sqrt(b**d) for any branching factor b >= 2.
@@ -26,13 +32,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import InputError, SizeLimit
-from .grover import (AmplificationRound, OracleSpec, amplified_state,
+from .grover import (AmplificationRound, amplified_probabilities,
                      literal_iterations, optimal_iterations,
                      predicted_success_exact)
 from .limits import sim_cap
 from .production import (ProductionSystem, RuleSequence, execute_sequence,
                          index_to_sequence, marked_vector)
-from .statevector import measure
+from .statevector import sample_index
 
 REPORT_SCHEMA = "qids.search-report/1"
 
@@ -123,6 +129,18 @@ def iterate_count(n_paths: int, k_policy: int, policy: str) -> int:
     return optimal_iterations(n_paths, k_policy)
 
 
+def measure(marks: np.ndarray, k: int, m: int, seed: int, depth: int) -> int:
+    """Measure the round at `depth`: the sequence index drawn after m iterates.
+
+    The closed-form counterpart of `statevector.measure` on the amplified
+    state: the same Born draw over the flat register, with the depth's own
+    generator, from the vector that `amplified_probabilities` gives instead
+    of the dense amplitudes.
+    """
+    probs = amplified_probabilities(marks, k, m)
+    return sample_index(probs, depth_rng(seed, depth)) // 2
+
+
 def quantum_iterative_deepening(system: ProductionSystem, start: str,
                                 config: QidConfig) -> SearchReport:
     """Search for a halting sequence from `start`, deepening one level per round.
@@ -144,7 +162,7 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
     for depth in range(depth_cap + 1):
         n_paths = b**depth
         marks = marked_vector(system, start, depth)
-        k = int(marks.sum())
+        k = int(np.count_nonzero(marks))
         if k == 0 and config.skip_empty_depths:
             per_depth.append(DepthRecord(depth, n_paths, 0, 0, 0, 0.0, True, None, None, None))
             continue
@@ -153,15 +171,13 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
             n_paths, k,
             iterate_count(n_paths, max(k_policy, 1), config.iterate_policy),
         )
-        oracle = OracleSpec.from_marks(marks)
-        state = amplified_state(b, depth, oracle, round_.m)
-        outcome, _ = measure(state, depth_rng(config.seed, depth))
-        seq = index_to_sequence(outcome.p_index, b, depth)
-        halting = bool(marks[outcome.p_index])
+        p_index = measure(marks, k, round_.m, config.seed, depth)
+        seq = index_to_sequence(p_index, b, depth)
+        halting = bool(marks[p_index])
         total_calls += round_.m
         per_depth.append(DepthRecord(depth, n_paths, k, round_.m, round_.m,
                                      round_.success_probability, False,
-                                     outcome.p_index, seq, halting))
+                                     p_index, seq, halting))
         if halting:
             replay = execute_sequence(system, start, seq)
             d_star = replay.halt_depth

@@ -9,6 +9,10 @@ the closed form
     P(m) = sin**2((2m + 1) * arcsin(sqrt(k/N)))
 
 gives the exact marked mass after m iterates from a uniform start.
+
+The search driver samples from `amplified_probabilities`, the closed form
+of the whole probability vector; the dense iterate below is the reference
+that the verification suite checks it against.
 """
 
 from __future__ import annotations
@@ -180,6 +184,28 @@ def amplified_state(b: int, d: int, oracle: OracleSpec, m: int) -> QuantumState:
     for _ in range(m):
         state = grover_iterate(state, oracle)
     return state
+
+
+def amplified_probabilities(marks: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Flat Born probabilities of `amplified_state` after m iterates, in closed form.
+
+    From a uniform start the state stays in the span of the marked and the
+    unmarked uniform superpositions, so with theta = asin(sqrt(k/N)) each of
+    the k marked sequences carries sin**2((2m+1) theta)/k and each unmarked
+    one cos**2((2m+1) theta)/(N-k), split evenly over the two halt-bit
+    values. The result has the flat layout p*2 + h of the dense register.
+    k = 0 leaves the uniform 1/(2N); k = N has no unmarked term.
+    """
+    n_paths = len(marks)
+    if not 0 <= k <= n_paths:
+        raise InputError(f"need 0 <= k <= N, got k={k} N={n_paths}")
+    if m < 0:
+        raise InputError("iterate count must be >= 0")
+    check_size(2 * n_paths, "probability vector")
+    angle = (2 * m + 1) * math.asin(math.sqrt(k / n_paths))
+    p_marked = math.sin(angle) ** 2 / (2 * k) if k else 0.0
+    p_unmarked = math.cos(angle) ** 2 / (2 * (n_paths - k)) if k < n_paths else 0.0
+    return np.repeat(np.where(marks, p_marked, p_unmarked), 2)
 
 
 def simulated_success(b: int, d: int, oracle: OracleSpec, m: int) -> float:

@@ -10,10 +10,13 @@ so halt projections and halt-conditional swaps are cheap slices. Amplitudes
 live in one contiguous complex128 vector; operations are pure functions
 returning fresh states.
 
-Two usage modes share the engine: the amplified search keeps s fixed
+Two usage modes share the engine: amplified search keeps s fixed
 (num_s = 1, amplitudes over sequences and the halt bit), while the
 halt-observation demo superposes the initial states with a trivial sequence
-register (b**d = 1).
+register (b**d = 1). The search driver does not simulate amplification: it
+draws from the closed-form probabilities with `sample_index`, the sampler
+that `measure` also uses, and the dense amplified state is the reference the
+verification suite checks that vector against.
 """
 
 from __future__ import annotations
@@ -130,17 +133,22 @@ def prepare_halt_minus(state: QuantumState) -> QuantumState:
     return out
 
 
-def measure(state: QuantumState, rng: np.random.Generator) -> tuple[BasisIndex, QuantumState]:
-    """Sample one basis outcome by the Born rule and collapse onto it."""
-    probs = state.probabilities()
+def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw one flat index from a Born probability vector.
+
+    The vector must sum to 1 within MEASURE_NORM_TOL (checked on the norm
+    it implies); it is renormalised before the draw.
+    """
     total = probs.sum()
     if abs(np.sqrt(total) - 1.0) > MEASURE_NORM_TOL:
         raise NormDrift(f"state norm = {np.sqrt(total):.9f} drifted beyond {MEASURE_NORM_TOL}")
-    flat = int(rng.choice(state.dimension, p=probs / total))
-    label = BasisIndex.from_flat(flat, state.num_s, state.b, state.d)
-    collapsed = _allocate(state.num_s, state.b, state.d)
-    collapsed.amps[flat] = 1.0
-    return label, collapsed
+    return int(rng.choice(len(probs), p=probs / total))
+
+
+def measure(state: QuantumState, rng: np.random.Generator) -> BasisIndex:
+    """Sample one basis outcome of the whole register by the Born rule."""
+    flat = sample_index(state.probabilities(), rng)
+    return BasisIndex.from_flat(flat, state.num_s, state.b, state.d)
 
 
 def project_halt(state: QuantumState, k: int) -> tuple[float, QuantumState]:

@@ -23,15 +23,15 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import grover
 from .driver import (QidConfig, account_oracle_calls, oracle_call_schedule,
                      quantum_iterative_deepening)
 from .errors import QidsError
-from .grover import (OracleSpec, amplified_state, grover_iterate,
-                     optimal_iterations, predicted_success_asymptotic,
-                     predicted_success_exact, simulated_success)
+from .grover import (OracleSpec, amplified_probabilities, amplified_state,
+                     grover_iterate, literal_iterations, optimal_iterations,
+                     predicted_success_asymptotic, predicted_success_exact,
+                     simulated_success)
 from .production import (Alphabet, ProductionSystem, Rule, apply_rule,
                          classical_ids, deterministic_trace, execute_sequence,
                          marked_vector)
@@ -411,6 +411,7 @@ def check_halt_timing_demo() -> CheckResult:
 
 def _chi_square_pvalue(counts: np.ndarray, probs: np.ndarray, draws: int) -> float:
     """Goodness-of-fit p-value, merging low-expectation cells (< 5) together."""
+    from scipy import stats  # local: importing scipy costs about a second of every start
     expected = probs * draws
     keep = expected >= 5
     if np.any(~keep):
@@ -441,7 +442,7 @@ def check_measurement_statistics(draws: int = 10_000) -> CheckResult:
         rng = np.random.default_rng(1234)
         counts = np.zeros(state.dimension)
         for _ in range(draws):
-            label, _ = measure(state, rng)
+            label = measure(state, rng)
             counts[label.to_flat(state.num_s, state.b, state.d)] += 1
         probs = state.probabilities()
         zero = probs < 1e-15
@@ -471,6 +472,33 @@ def check_unitarity(iterations: int = 1000) -> CheckResult:
                    f"|norm - 1| = {drift:.3e} after {iterations} iterates at dim 2048")
 
 
+def check_engine_agreement() -> CheckResult:
+    """Closed-form probabilities equal the dense engine's within 1e-12.
+
+    Covers the corpus at depths d* through d*+3 under the optimal and the
+    faithful iterate counts, plus one single-mark register at b=4, d=8.
+    """
+    t0 = time.perf_counter()
+    cases = []
+    for entry in acceptance_corpus():
+        b = entry.system.branching_factor
+        for d in range(entry.d_star, entry.d_star + 4):
+            marks = marked_vector(entry.system, entry.start, d)
+            k = int(marks.sum())
+            cases += [(b, d, marks, optimal_iterations(b**d, k)),
+                      (b, d, marks, literal_iterations(b**d))]
+    single = np.arange(4**8) == 4321
+    cases.append((4, 8, single, optimal_iterations(4**8, 1)))
+    worst = 0.0
+    for b, d, marks, m in cases:
+        dense = amplified_state(b, d, OracleSpec.from_marks(marks), m).probabilities()
+        closed = amplified_probabilities(marks, int(marks.sum()), m)
+        worst = max(worst, float(np.max(np.abs(dense - closed))))
+    return _result("engine-agreement", t0, worst <= 1e-12,
+                   f"max |dense - closed form| = {worst:.3e} over {len(cases)} "
+                   f"registers (tolerance 1e-12)")
+
+
 ALL_CHECKS = {
     "grover-correctness": check_grover_correctness,
     "formula-reconciliation": check_formula_reconciliation,
@@ -480,6 +508,7 @@ ALL_CHECKS = {
     "halt-timing-demo": check_halt_timing_demo,
     "measurement-statistics": check_measurement_statistics,
     "unitarity-drift": check_unitarity,
+    "engine-agreement": check_engine_agreement,
 }
 
 

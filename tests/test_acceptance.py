@@ -9,8 +9,9 @@ asserts the whole gate fits the five-minute budget.
 from qids.verify import (ALL_CHECKS, acceptance_corpus, check_call_budget,
                          check_formula_reconciliation, check_grover_correctness,
                          check_halt_timing_demo, check_measurement_statistics,
-                         check_search_vs_classical, check_tm_bisimulation,
-                         check_unitarity, reconciliation_table)
+                         check_engine_agreement, check_search_vs_classical,
+                         check_tm_bisimulation, check_unitarity,
+                         reconciliation_table)
 
 _durations: list[float] = []
 
@@ -73,6 +74,12 @@ def test_criterion_7_measurement_statistics():
 def test_criterion_8_unitarity():
     # norm drift < 1e-9 after 10^3 iterates at dimension 2048
     _gate(check_unitarity())
+
+
+def test_criterion_9_engine_agreement():
+    # corpus at d*..d*+3 under optimal and faithful m, plus b=4 d=8 k=1:
+    # closed-form probabilities == dense engine @ 1e-12
+    _gate(check_engine_agreement())
 
 
 def test_gate_runs_inside_budget():

@@ -1,6 +1,9 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -217,6 +220,24 @@ def test_verify_detects_injected_fault(capsys):
     assert "FAIL grover-correctness" in out
 
 
+def test_verify_engine_agreement_detects_injected_fault(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--only", "engine-agreement",
+                           "--inject-fault", "diffusion")
+    assert code == 1
+    assert "FAIL engine-agreement" in out
+
+
 def test_verify_unknown_check_errors(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "no-such-check")
     assert code == 1
+
+
+# --- start-up -------------------------------------------------------------------------
+
+def test_import_cli_does_not_load_scipy():
+    # scipy serves only the chi-square check and takes about a second to import
+    code = "import sys, qids.cli; sys.exit('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

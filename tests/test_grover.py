@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qids.errors import InputError, KZero
-from qids.grover import (AmplificationRound, OracleSpec, apply_diffusion,
-                         apply_oracle, count_solutions, grover_iterate,
+from qids.errors import InputError, KZero, SizeLimit
+from qids.grover import (AmplificationRound, OracleSpec, amplified_probabilities,
+                         amplified_state, apply_diffusion, apply_oracle,
+                         count_solutions, grover_iterate,
                          literal_iterations, marked_mass, optimal_iterations,
                          predicted_success_asymptotic, predicted_success_exact,
                          simulated_success)
@@ -173,6 +176,45 @@ def test_exact_form_matches_simulation(n, k):
     for m in range(11):
         assert abs(simulated_success(n, 1, oracle, m)
                    - predicted_success_exact(n, k, m)) < 1e-9
+
+
+@st.composite
+def marks_and_iterates(draw):
+    """A mark table over N <= 256 sequences and an iterate count up to 3x optimal."""
+    n = draw(st.integers(1, 256))
+    kind = draw(st.sampled_from(("none", "all", "some")))
+    if kind == "some":
+        marks = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    else:
+        marks = np.full(n, kind == "all")
+    k = int(marks.sum())
+    m = draw(st.integers(0, 3 * optimal_iterations(n, max(k, 1))))
+    return marks, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(marks_and_iterates())
+@example((np.zeros(64, dtype=bool), 6))
+@example((np.ones(64, dtype=bool), 5))
+def test_closed_form_probabilities_match_dense_engine(case):
+    marks, m = case
+    k = int(marks.sum())
+    closed = amplified_probabilities(marks, k, m)
+    # b = N, d = 1 gives a dense register of exactly N sequences
+    dense = amplified_state(len(marks), 1, OracleSpec.from_marks(marks), m).probabilities()
+    assert closed.shape == dense.shape
+    assert np.max(np.abs(closed - dense)) <= 1e-12
+    assert abs(closed.sum() - 1.0) <= 1e-12
+
+
+def test_closed_form_probabilities_reject_bad_input(monkeypatch):
+    with pytest.raises(InputError):
+        amplified_probabilities(np.zeros(4, dtype=bool), 5, 1)
+    with pytest.raises(InputError):
+        amplified_probabilities(np.zeros(4, dtype=bool), 0, -1)
+    monkeypatch.setenv("QIDS_SIM_CAP", "64")
+    with pytest.raises(SizeLimit):
+        amplified_probabilities(np.zeros(64, dtype=bool), 0, 1)
 
 
 def test_optimal_policy_reaches_half_mass_when_sparse():
