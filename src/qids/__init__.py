@@ -10,9 +10,9 @@ checks behind `qids verify`.
 from .driver import QidConfig, SearchReport, quantum_iterative_deepening
 from .errors import QidsError
 from .production import (Alphabet, ProductionSystem, Rule, apply_rule,
-                         classical_ids, classical_mu, enumerate_paths,
-                         execute_sequence, halting_predicate, load_system)
-from .turing import TuringMachineSpec, compile_tm, load_tm, run_tm
+                         classical_ids, execute_sequence, halting_predicate,
+                         load_system)
+from .turing import TuringMachineSpec, compile_tm, load_tm
 
 __version__ = "0.1.0"
 
@@ -26,14 +26,11 @@ __all__ = [
     "TuringMachineSpec",
     "apply_rule",
     "classical_ids",
-    "classical_mu",
     "compile_tm",
-    "enumerate_paths",
     "execute_sequence",
     "halting_predicate",
     "load_system",
     "load_tm",
     "quantum_iterative_deepening",
-    "run_tm",
     "__version__",
 ]

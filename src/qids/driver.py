@@ -27,14 +27,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InputError, SizeLimit
-from .grover import (AmplificationRound, amplified_probabilities,
-                     literal_iterations, optimal_iterations,
-                     predicted_success_exact)
+from .grover import (amplified_probabilities, literal_iterations,
+                     optimal_iterations, predicted_success_exact)
 from .limits import sim_cap
 from .production import (ProductionSystem, RuleSequence, execute_sequence,
                          index_to_sequence, marked_vector)
@@ -67,6 +66,8 @@ class QidConfig:
     skip_empty_depths: bool = True
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if self.depth_cap is not None and self.depth_cap < 0:
             raise InputError("depth_cap must be >= 0")
         if self.counting_mode not in COUNTING_MODES:
@@ -153,8 +154,11 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
         raise InputError(f"start {start!r} is not one of the system's initial states")
     b = system.branching_factor
     depth_cap = config.depth_cap if config.depth_cap is not None else default_depth_cap(b)
-    if 2 * b**depth_cap > sim_cap():
-        raise SizeLimit(f"depth cap {depth_cap} needs {2 * b**depth_cap} amplitudes")
+    cap = sim_cap()
+    # b**cap.bit_length() > cap for b >= 2: the clamp spares building b**depth_cap
+    if 2 * b ** min(depth_cap, cap.bit_length()) > cap:
+        raise SizeLimit(f"depth cap {depth_cap} needs 2 * {b}**{depth_cap} amplitudes, "
+                        f"over the cap of {cap}")
 
     t0 = time.perf_counter()
     per_depth: list[DepthRecord] = []
@@ -167,16 +171,13 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
             per_depth.append(DepthRecord(depth, n_paths, 0, 0, 0, 0.0, True, None, None, None))
             continue
         k_policy = k if config.counting_mode == "exact" else 1
-        round_ = AmplificationRound(
-            n_paths, k,
-            iterate_count(n_paths, max(k_policy, 1), config.iterate_policy),
-        )
-        p_index = measure(marks, k, round_.m, config.seed, depth)
+        m = iterate_count(n_paths, max(k_policy, 1), config.iterate_policy)
+        p_index = measure(marks, k, m, config.seed, depth)
         seq = index_to_sequence(p_index, b, depth)
         halting = bool(marks[p_index])
-        total_calls += round_.m
-        per_depth.append(DepthRecord(depth, n_paths, k, round_.m, round_.m,
-                                     round_.success_probability, False,
+        total_calls += m
+        predicted = predicted_success_exact(n_paths, k, m) if k else 0.0
+        per_depth.append(DepthRecord(depth, n_paths, k, m, m, predicted, False,
                                      p_index, seq, halting))
         if halting:
             replay = execute_sequence(system, start, seq)
@@ -216,55 +217,6 @@ def oracle_call_schedule(b: int, d_final: int, policy: str = "optimal",
     if b < 1 or d_final < 0:
         raise InputError("need b >= 1 and d_final >= 0")
     return [iterate_count(b**d, k, policy) for d in range(d_final + 1)]
-
-
-@dataclass
-class RetryRow:
-    depth: int
-    n_paths: int
-    k: int
-    m: int
-    predicted_failure: float
-    observed_failure: float
-    runs_reaching: int
-
-
-def retry_statistics(system: ProductionSystem, start: str, config: QidConfig,
-                     trials: int) -> list[RetryRow]:
-    """Observed per-depth miss frequency over `trials` distinct-seeded runs.
-
-    Trial t runs with seed config.seed + t. Only depths that carry at least
-    one marked sequence appear; the predicted column is the closed-form
-    complement 1 - P(m) for that depth's parameters.
-    """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    reaching: dict[int, int] = {}
-    misses: dict[int, int] = {}
-    meta: dict[int, DepthRecord] = {}
-    for t in range(trials):
-        report = quantum_iterative_deepening(system, start,
-                                             replace(config, seed=config.seed + t))
-        for rec in report.per_depth:
-            if rec.k == 0:
-                continue
-            meta[rec.depth] = rec
-            reaching[rec.depth] = reaching.get(rec.depth, 0) + 1
-            if not rec.measured_halting:
-                misses[rec.depth] = misses.get(rec.depth, 0) + 1
-    rows = []
-    for depth in sorted(reaching):
-        rec = meta[depth]
-        rows.append(RetryRow(
-            depth=depth,
-            n_paths=rec.n_paths,
-            k=rec.k,
-            m=rec.m,
-            predicted_failure=1.0 - predicted_success_exact(rec.n_paths, rec.k, rec.m),
-            observed_failure=misses.get(depth, 0) / reaching[depth],
-            runs_reaching=reaching[depth],
-        ))
-    return rows
 
 
 def report_to_dict(report: SearchReport, include_volatile: bool = True) -> dict:

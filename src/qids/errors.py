@@ -25,14 +25,6 @@ class SizeLimit(QidsError):
     """Requested search/state space exceeds the configured simulation cap."""
 
 
-class CapExceeded(QidsError):
-    """An iteration bound was exhausted before the target condition was met.
-
-    Stand-in for non-termination: a finite run cannot distinguish "never"
-    from "not yet", so bounded loops surface this instead of spinning.
-    """
-
-
 class TapeOverflow(QidsError):
     """A tape head tried to leave the configured tape window."""
 

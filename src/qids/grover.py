@@ -1,10 +1,10 @@
 """Amplitude amplification against the sequence-halting predicate.
 
-The oracle XORs a 0/1 predicate over the sequence register into the halt
-bit; with the halt bit prepared in (|0> - |1>)/sqrt(2) that is a phase flip
-on marked sequences. Diffusion reflects sequence amplitudes about their
-mean. One oracle application plus one diffusion is one search iterate, and
-the closed form
+The oracle XORs the halting bitmap (one bool per sequence label, as
+`production.marked_vector` returns it) into the halt bit; with the halt bit
+prepared in (|0> - |1>)/sqrt(2) that is a phase flip on marked sequences.
+Diffusion reflects sequence amplitudes about their mean. One oracle
+application plus one diffusion is one search iterate, and the closed form
 
     P(m) = sin**2((2m + 1) * arcsin(sqrt(k/N)))
 
@@ -18,112 +18,45 @@ that the verification suite checks it against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import InputError, KZero
 from .limits import check_size
-from .production import ProductionSystem, marked_vector
 from .statevector import QuantumState, prepare_halt_minus, uniform_superposition
 
-# Fault-injection knob for exercising the verification suite: scales the
-# mean-reflection coefficient (2.0 is the correct value).
-_DIFFUSION_MEAN_COEFF = 2.0
 
-
-@dataclass
-class OracleSpec:
-    """Total 0/1 predicate over the b**d sequence labels."""
-
-    predicate: Callable[[int], int]
-    domain_size: int
-    _marks: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.domain_size < 1:
-            raise InputError("oracle domain must be non-empty")
-
-    @classmethod
-    def from_marks(cls, marks: np.ndarray) -> "OracleSpec":
-        marks = np.asarray(marks, dtype=bool)
-        return cls(lambda w: int(marks[w]), len(marks), marks)
-
-    @classmethod
-    def from_system(cls, system: ProductionSystem, start: str, d: int) -> "OracleSpec":
-        """Oracle marking depth-d sequences that halt from `start`."""
-        return cls.from_marks(marked_vector(system, start, d))
-
-    @property
-    def marks(self) -> np.ndarray:
-        if self._marks is None:
-            check_size(self.domain_size, "oracle mark table")
-            self._marks = np.fromiter(
-                (bool(self.predicate(w)) for w in range(self.domain_size)),
-                dtype=bool, count=self.domain_size,
-            )
-            self._marks.flags.writeable = False
-        return self._marks
-
-
-def apply_oracle(state: QuantumState, oracle: OracleSpec) -> QuantumState:
-    """XOR the predicate into the halt bit: swap h-slices on marked sequences."""
+def apply_oracle(state: QuantumState, marks: np.ndarray) -> QuantumState:
+    """XOR the mark bitmap into the halt bit: swap h-slices on marked sequences."""
     if state.num_s != 1:
         raise InputError("the oracle acts on a fixed initial state (num_s == 1)")
-    if oracle.domain_size != state.n_paths:
+    # a 0/1 integer array would index positions instead of masking them
+    marks = np.asarray(marks, dtype=bool)
+    if len(marks) != state.n_paths:
         raise InputError(
-            f"oracle domain {oracle.domain_size} != sequence register size {state.n_paths}"
+            f"oracle domain {len(marks)} != sequence register size {state.n_paths}"
         )
     out = state.copy()
     g = out.grid()
-    marks = oracle.marks
     g[0, marks, 0], g[0, marks, 1] = g[0, marks, 1].copy(), g[0, marks, 0].copy()
     return out
 
 
-def apply_diffusion(state: QuantumState) -> QuantumState:
-    """Reflect sequence amplitudes about their mean, per halt-bit slice."""
+def apply_diffusion(state: QuantumState, coeff: float = 2.0) -> QuantumState:
+    """Map each halt-bit slice x to coeff * mean(x) - x; 2.0 reflects about the mean."""
     if state.num_s != 1:
         raise InputError("diffusion acts on a fixed initial state (num_s == 1)")
     out = state.copy()
     g = out.grid()
     for h in (0, 1):
         mean = g[0, :, h].mean()
-        g[0, :, h] = _DIFFUSION_MEAN_COEFF * mean - g[0, :, h]
+        g[0, :, h] = coeff * mean - g[0, :, h]
     return out
 
 
-def grover_iterate(state: QuantumState, oracle: OracleSpec) -> QuantumState:
-    return apply_diffusion(apply_oracle(state, oracle))
-
-
-@dataclass(frozen=True)
-class AmplificationRound:
-    """One amplification run: search-space size, mark count, iterate count.
-
-    theta is the rotation angle per iterate, 2*arccos(sqrt((N-k)/N)).
-    """
-
-    n_paths: int
-    k: int
-    m: int
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n_paths:
-            raise InputError(f"need 0 <= k <= N, got k={self.k} N={self.n_paths}")
-        if self.m < 0:
-            raise InputError("iterate count must be >= 0")
-
-    @property
-    def theta(self) -> float:
-        return 2 * math.acos(math.sqrt((self.n_paths - self.k) / self.n_paths))
-
-    @property
-    def success_probability(self) -> float:
-        if self.k == 0:
-            return 0.0
-        return predicted_success_exact(self.n_paths, self.k, self.m)
+def grover_iterate(state: QuantumState, marks: np.ndarray,
+                   coeff: float = 2.0) -> QuantumState:
+    return apply_diffusion(apply_oracle(state, marks), coeff)
 
 
 def optimal_iterations(n_paths: int, k: int) -> int:
@@ -166,23 +99,18 @@ def predicted_success_asymptotic(b: int, d: int, k: int) -> float:
     return math.sin(theta / 2 * (math.pi / 2 * math.sqrt(n_paths / k) + 1)) ** 2
 
 
-def count_solutions(oracle: OracleSpec) -> int:
-    """Exact number of marked sequence labels, by classical enumeration."""
-    check_size(oracle.domain_size, "solution counting")
-    return int(oracle.marks.sum())
-
-
-def marked_mass(state: QuantumState, oracle: OracleSpec) -> float:
+def marked_mass(state: QuantumState, marks: np.ndarray) -> float:
     """Total probability carried by marked sequences (both halt-bit values)."""
     g = state.grid()
-    return float(np.sum(np.abs(g[0, oracle.marks, :]) ** 2))
+    return float(np.sum(np.abs(g[0, np.asarray(marks, dtype=bool), :]) ** 2))
 
 
-def amplified_state(b: int, d: int, oracle: OracleSpec, m: int) -> QuantumState:
+def amplified_state(b: int, d: int, marks: np.ndarray, m: int,
+                    coeff: float = 2.0) -> QuantumState:
     """Uniform start, halt bit in the minus state, m search iterates."""
     state = prepare_halt_minus(uniform_superposition(b, d))
     for _ in range(m):
-        state = grover_iterate(state, oracle)
+        state = grover_iterate(state, marks, coeff)
     return state
 
 
@@ -208,6 +136,7 @@ def amplified_probabilities(marks: np.ndarray, k: int, m: int) -> np.ndarray:
     return np.repeat(np.where(marks, p_marked, p_unmarked), 2)
 
 
-def simulated_success(b: int, d: int, oracle: OracleSpec, m: int) -> float:
+def simulated_success(b: int, d: int, marks: np.ndarray, m: int,
+                      coeff: float = 2.0) -> float:
     """Marked mass measured off an exact statevector run of m iterates."""
-    return marked_mass(amplified_state(b, d, oracle, m), oracle)
+    return marked_mass(amplified_state(b, d, marks, m, coeff), marks)

@@ -1,8 +1,8 @@
 """Desk-scale resource caps.
 
 Dense amplitude storage means memory scales linearly with the number of
-basis states, so both path enumeration and state allocation refuse to grow
-past a cap. The default (2**22) can be overridden with the QIDS_SIM_CAP
+basis states, so the marking walk's bitmap, the search's probability vector
+and statevector allocation all refuse to grow past a cap. The default (2**22) can be overridden with the QIDS_SIM_CAP
 environment variable.
 """
 
@@ -18,7 +18,7 @@ _ENV_VAR = "QIDS_SIM_CAP"
 
 
 def sim_cap() -> int:
-    """Current simulation cap (basis states / enumerated paths)."""
+    """Current simulation cap (basis states / marked sequences)."""
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return DEFAULT_SIM_CAP

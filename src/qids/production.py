@@ -22,11 +22,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import AlphabetMismatch, CapExceeded, InputError, MemoryOverflow
+from .errors import AlphabetMismatch, InputError, MemoryOverflow
 from .limits import check_size
 
 RULE_MATCH_MODES = ("substring", "exact")
@@ -122,24 +122,6 @@ class ProductionSystem:
         if self.goal_match == "exact":
             return memory in self.goal_states
         return any(g in memory for g in self.goal_states)
-
-
-@dataclass(frozen=True)
-class MuProblem:
-    """Unbounded-minimisation instance: least m with evaluator(args, m) == target.
-
-    `cap` bounds the scan; genuine non-termination is not representable in a
-    finite run, so exhausting the cap raises CapExceeded instead.
-    """
-
-    evaluator: Callable[[tuple, int], int]
-    target: int
-    cap: int
-    args: tuple = ()
-
-    def __post_init__(self):
-        if self.cap < 1:
-            raise InputError("MuProblem cap must be >= 1")
 
 
 @dataclass
@@ -245,31 +227,8 @@ def halting_predicate(system: ProductionSystem, start: str, seq: Sequence[int]) 
     return int(_walk(system, start, tuple(seq)).halted)
 
 
-def enumerate_paths(b: int, d: int) -> list[RuleSequence]:
-    """All b**d rule-index sequences of length d, in lexicographic order."""
-    if b < 1 or d < 0:
-        raise InputError(f"need b >= 1 and d >= 0, got b={b} d={d}")
-    check_size(b**d, f"path space b={b} d={d}")
-    if d == 0:
-        return [()]
-    seqs: list[RuleSequence] = [()]
-    for _ in range(d):
-        seqs = [s + (i,) for s in seqs for i in range(b)]
-    return seqs
-
-
-def sequence_to_index(seq: Sequence[int], b: int) -> int:
-    """Base-b value of a sequence, first rule as the most significant digit."""
-    value = 0
-    for idx in seq:
-        if not 0 <= idx < b:
-            raise InputError(f"rule index {idx} out of range for {b} rules")
-        value = value * b + idx
-    return value
-
-
 def index_to_sequence(value: int, b: int, d: int) -> RuleSequence:
-    """Inverse of sequence_to_index for length-d sequences."""
+    """Length-d rule sequence whose base-b value is `value`, first rule most significant."""
     if not 0 <= value < b**d:
         raise InputError(f"path index {value} out of range for b={b} d={d}")
     digits = []
@@ -281,7 +240,7 @@ def index_to_sequence(value: int, b: int, d: int) -> RuleSequence:
 
 @lru_cache(maxsize=4096)
 def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
-    """Halting bit for every depth-d sequence, ordered like enumerate_paths.
+    """Halting bit for every depth-d sequence; entry i is `index_to_sequence(i, b, d)`.
 
     Shares rewriting work across common prefixes: once a prefix halts the
     whole subtree is marked without descending, and a dead prefix
@@ -312,14 +271,6 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
     fill(start, 0, 0)
     marks.flags.writeable = False
     return marks
-
-
-def classical_mu(problem: MuProblem) -> int:
-    """Scan m = 0, 1, ... for the least m hitting the target; CapExceeded if none."""
-    for m in range(problem.cap):
-        if problem.evaluator(problem.args, m) == problem.target:
-            return m
-    raise CapExceeded(f"no m < {problem.cap} satisfies the target condition")
 
 
 def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> ClassicalSearchResult:

@@ -21,7 +21,6 @@ verification suite checks that vector against.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,6 @@ from .production import ProductionSystem, deterministic_trace
 NORM_TOL = 1e-10
 MEASURE_NORM_TOL = 1e-6
 PROJECT_FLOOR = 1e-12
-
-STATE_DUMP_TAG = "qids-statedump 1"
 
 
 @dataclass(frozen=True)
@@ -105,12 +102,6 @@ def _allocate(num_s: int, b: int, d: int) -> QuantumState:
     dim = num_s * b**d * 2
     check_size(dim, f"statevector of dims ({num_s}, {b}, {d})")
     return QuantumState(np.zeros(dim, dtype=np.complex128), num_s, b, d)
-
-
-def basis_state(num_s: int, b: int, d: int, label: BasisIndex) -> QuantumState:
-    state = _allocate(num_s, b, d)
-    state.amps[label.to_flat(num_s, b, d)] = 1.0
-    return state
 
 
 def uniform_superposition(b: int, d: int) -> QuantumState:
@@ -238,25 +229,3 @@ def halt_timing_demo(system: ProductionSystem, d: int, step_cap: int | None = No
         projected_halt=projected[1],
     )
 
-
-def dump_state(state: QuantumState, fh: io.TextIOBase) -> None:
-    """Write a version-tagged text listing of (flat index, real, imag) rows."""
-    fh.write(f"{STATE_DUMP_TAG}\n")
-    fh.write(f"dims {state.num_s} {state.b} {state.d}\n")
-    for i, a in enumerate(state.amps):
-        fh.write(f"{i} {float(a.real)!r} {float(a.imag)!r}\n")
-
-
-def load_state(fh: io.TextIOBase) -> QuantumState:
-    tag = fh.readline().strip()
-    if tag != STATE_DUMP_TAG:
-        raise InputError(f"unrecognised state dump tag {tag!r}")
-    header = fh.readline().split()
-    if len(header) != 4 or header[0] != "dims":
-        raise InputError("state dump is missing its dims line")
-    num_s, b, d = (int(x) for x in header[1:])
-    state = _allocate(num_s, b, d)
-    for line in fh:
-        idx, re_part, im_part = line.split()
-        state.amps[int(idx)] = complex(float(re_part), float(im_part))
-    return state

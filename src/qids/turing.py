@@ -31,8 +31,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (CapExceeded, EncodingClash, InputError, MalformedEncoding,
-                     TapeOverflow)
+from .errors import EncodingClash, InputError, MalformedEncoding, TapeOverflow
 from .production import Alphabet, ProductionSystem, Rule
 
 MOVES = ("L", "R", "S")
@@ -181,22 +180,6 @@ def tm_trace(tm: TuringMachineSpec, input_tape: str, max_steps: int) -> list[TMC
         cfg = _step(tm, cfg)
         trace.append(cfg)
     return trace
-
-
-@dataclass
-class TMRunResult:
-    config: TMConfiguration
-    steps: int
-    halted: bool
-
-
-def run_tm(tm: TuringMachineSpec, input_tape: str, max_steps: int) -> TMRunResult:
-    """Run to a halt state; CapExceeded if the step budget runs out first."""
-    trace = tm_trace(tm, input_tape, max_steps)
-    final = trace[-1]
-    if final.state not in tm.halts:
-        raise CapExceeded(f"machine still running after {max_steps} steps")
-    return TMRunResult(final, len(trace) - 1, True)
 
 
 def encode_config(tm: TuringMachineSpec, cfg: TMConfiguration) -> str:

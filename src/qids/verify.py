@@ -21,15 +21,15 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from . import grover
 from .driver import (QidConfig, account_oracle_calls, oracle_call_schedule,
                      quantum_iterative_deepening)
 from .errors import QidsError
-from .grover import (OracleSpec, amplified_probabilities, amplified_state,
-                     grover_iterate, literal_iterations, optimal_iterations,
+from .grover import (amplified_probabilities, amplified_state, grover_iterate,
+                     literal_iterations, optimal_iterations,
                      predicted_success_asymptotic, predicted_success_exact,
                      simulated_success)
 from .production import (Alphabet, ProductionSystem, Rule, apply_rule,
@@ -41,6 +41,7 @@ from .turing import (DeltaEntry, TuringMachineSpec, compile_tm, decode_config,
                      initial_memory, tm_trace)
 
 CORPUS_SEED = 164037
+CORPUS_SIZE = 20
 RUN_SEED_BASE = 52000
 ACCEPTANCE_TRIALS = 200
 ACCEPTANCE_MIN_PREDICTED = 0.93
@@ -156,18 +157,13 @@ def _depth_clean(system: ProductionSystem, start: str, margin: int = 3,
     return d_star, k_star
 
 
-_CORPUS_CACHE: list[CorpusEntry] | None = None
-
-
-def acceptance_corpus(count: int = 20) -> list[CorpusEntry]:
+@cache
+def acceptance_corpus() -> list[CorpusEntry]:
     """Deterministic randomized corpus for the search-vs-classical check."""
-    global _CORPUS_CACHE
-    if _CORPUS_CACHE is not None and len(_CORPUS_CACHE) >= count:
-        return _CORPUS_CACHE[:count]
     rng = np.random.default_rng(CORPUS_SEED)
     entries: list[CorpusEntry] = []
     attempts = 0
-    while len(entries) < count and attempts < 5000:
+    while len(entries) < CORPUS_SIZE and attempts < 5000:
         attempts += 1
         b = 2 + len(entries) % 2
         maker = _random_soup if attempts % 2 else _word_builder
@@ -179,9 +175,8 @@ def acceptance_corpus(count: int = 20) -> list[CorpusEntry]:
         if clean is None:
             continue
         entries.append(CorpusEntry(system, start, clean[0], clean[1]))
-    if len(entries) < count:
-        raise QidsError(f"corpus generation stalled at {len(entries)}/{count} systems")
-    _CORPUS_CACHE = entries
+    if len(entries) < CORPUS_SIZE:
+        raise QidsError(f"corpus generation stalled at {len(entries)}/{CORPUS_SIZE} systems")
     return entries
 
 
@@ -245,7 +240,7 @@ def tm_corpus() -> list[tuple[str, TuringMachineSpec, list[str]]]:
 # ---------------------------------------------------------------------------
 # checks
 
-def check_grover_correctness() -> CheckResult:
+def check_grover_correctness(coeff: float = 2.0) -> CheckResult:
     """Simulated marked mass equals the closed form to 1e-9 across the sweep."""
     t0 = time.perf_counter()
     worst = 0.0
@@ -253,9 +248,9 @@ def check_grover_correctness() -> CheckResult:
         for k in (1, 2, 4):
             if k > n:
                 continue
-            oracle = OracleSpec.from_marks(np.arange(n) < k)
+            marks = np.arange(n) < k
             for m in range(11):
-                sim = simulated_success(n, 1, oracle, m)
+                sim = simulated_success(n, 1, marks, m, coeff)
                 exact = predicted_success_exact(n, k, m)
                 worst = max(worst, abs(sim - exact))
     elapsed = time.perf_counter() - t0
@@ -423,7 +418,7 @@ def _chi_square_pvalue(counts: np.ndarray, probs: np.ndarray, draws: int) -> flo
     return float(stats.chi2.sf(statistic, df=len(counts) - 1))
 
 
-def check_measurement_statistics(draws: int = 10_000) -> CheckResult:
+def check_measurement_statistics(draws: int = 10_000, coeff: float = 2.0) -> CheckResult:
     """Seeded measurement frequencies fit the Born rule at significance 0.001."""
     t0 = time.perf_counter()
     cases = []
@@ -434,8 +429,7 @@ def check_measurement_statistics(draws: int = 10_000) -> CheckResult:
     random_state = uniform_superposition(2, 5)
     random_state.amps[:] = raw / np.linalg.norm(raw)
     cases.append(("random-dim-64", random_state))
-    oracle = OracleSpec.from_marks(np.arange(16) == 5)
-    cases.append(("amplified-n16", amplified_state(2, 4, oracle, 3)))
+    cases.append(("amplified-n16", amplified_state(2, 4, np.arange(16) == 5, 3, coeff)))
 
     problems = []
     for name, state in cases:
@@ -457,22 +451,21 @@ def check_measurement_statistics(draws: int = 10_000) -> CheckResult:
     return _result("measurement-statistics", t0, not problems, detail)
 
 
-def check_unitarity(iterations: int = 1000) -> CheckResult:
+def check_unitarity(iterations: int = 1000, coeff: float = 2.0) -> CheckResult:
     """Norm drift below 1e-9 after 1000 iterates at dimension 2048."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(99)
     marks = rng.random(1024) < 0.125
     marks[0] = True  # at least one mark so the iterate is non-trivial
-    oracle = OracleSpec.from_marks(marks)
     state = prepare_halt_minus(uniform_superposition(2, 10))
     for _ in range(iterations):
-        state = grover_iterate(state, oracle)
+        state = grover_iterate(state, marks, coeff)
     drift = abs(state.norm() - 1.0)
     return _result("unitarity-drift", t0, drift < 1e-9,
                    f"|norm - 1| = {drift:.3e} after {iterations} iterates at dim 2048")
 
 
-def check_engine_agreement() -> CheckResult:
+def check_engine_agreement(coeff: float = 2.0) -> CheckResult:
     """Closed-form probabilities equal the dense engine's within 1e-12.
 
     Covers the corpus at depths d* through d*+3 under the optimal and the
@@ -491,7 +484,7 @@ def check_engine_agreement() -> CheckResult:
     cases.append((4, 8, single, optimal_iterations(4**8, 1)))
     worst = 0.0
     for b, d, marks, m in cases:
-        dense = amplified_state(b, d, OracleSpec.from_marks(marks), m).probabilities()
+        dense = amplified_state(b, d, marks, m, coeff).probabilities()
         closed = amplified_probabilities(marks, int(marks.sum()), m)
         worst = max(worst, float(np.max(np.abs(dense - closed))))
     return _result("engine-agreement", t0, worst <= 1e-12,
@@ -511,30 +504,39 @@ ALL_CHECKS = {
     "engine-agreement": check_engine_agreement,
 }
 
+# The checks that run the dense engine; each takes the diffusion coefficient
+# that `--inject-fault diffusion` perturbs.
+DENSE_CHECKS = ("grover-correctness", "measurement-statistics", "unitarity-drift",
+                "engine-agreement")
+
 
 def run_checks(names: list[str] | None = None, inject_fault: str | None = None,
                stream=None) -> list[CheckResult]:
-    """Run the named checks (all by default), printing one line per check."""
+    """Run the named checks (all by default), printing one line per check.
+
+    A check that raises a QidsError fails with the error as its detail, and
+    the run goes on to the next check.
+    """
     out = stream if stream is not None else sys.stdout
     selected = names or list(ALL_CHECKS)
     unknown = [n for n in selected if n not in ALL_CHECKS]
     if unknown:
         raise QidsError(f"unknown check(s): {', '.join(unknown)}")
-    original_coeff = grover._DIFFUSION_MEAN_COEFF
-    if inject_fault == "diffusion":
-        grover._DIFFUSION_MEAN_COEFF = 2.0 + 1e-3
-    elif inject_fault is not None:
+    if inject_fault not in (None, "diffusion"):
         raise QidsError(f"unknown fault {inject_fault!r}")
+    coeff = 2.0 + 1e-3 if inject_fault == "diffusion" else 2.0
     results = []
-    try:
-        for name in selected:
-            result = ALL_CHECKS[name]()
-            results.append(result)
-            status = "PASS" if result.passed else "FAIL"
-            print(f"{status} {result.name} [{result.duration_s:.2f}s] {result.detail}",
-                  file=out)
-    finally:
-        grover._DIFFUSION_MEAN_COEFF = original_coeff
+    for name in selected:
+        t0 = time.perf_counter()
+        kwargs = {"coeff": coeff} if name in DENSE_CHECKS else {}
+        try:
+            result = ALL_CHECKS[name](**kwargs)
+        except QidsError as exc:
+            result = _result(name, t0, False, f"raised {type(exc).__name__}: {exc}")
+        results.append(result)
+        status = "PASS" if result.passed else "FAIL"
+        print(f"{status} {result.name} [{result.duration_s:.2f}s] {result.detail}",
+              file=out)
     total = sum(r.duration_s for r in results)
     print(f"{'PASS' if all(r.passed for r in results) else 'FAIL'} "
           f"{sum(r.passed for r in results)}/{len(results)} checks in {total:.1f}s",

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from qids.limits import check_size
 from qids.production import Alphabet, ProductionSystem, Rule, tree_system
 
 
@@ -45,3 +48,18 @@ def random_system(rng, b=2, n_letters=3, max_len=20):
         goal_states=(goal,),
         max_memory_len=max_len,
     ), start
+
+
+def enumerate_paths(b, d):
+    """Brute-force reference: all b**d rule-index sequences of length d, in
+    lexicographic order, which is the order of `marked_vector`'s entries."""
+    check_size(b**d, f"path space b={b} d={d}")
+    return list(itertools.product(range(b), repeat=d))
+
+
+def sequence_to_index(seq, b):
+    """Base-b value of a sequence, first rule as the most significant digit."""
+    value = 0
+    for idx in seq:
+        value = value * b + idx
+    return value

@@ -73,6 +73,20 @@ def test_run_seed_required(capsys):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("command", [("run", TREE), ("demo-flaw", HALT_DEMO, "-d", "3")])
+def test_negative_seed_exits_1(capsys, command):
+    code, _, err = run_cli(capsys, *command, "--seed", "-1")
+    assert code == 1
+    assert err.startswith("error:") and "seed" in err
+
+
+def test_run_depth_cap_far_over_the_sim_cap_exits_1(capsys):
+    # 2 * 2**100000 has too many digits to format into the message
+    code, _, err = run_cli(capsys, "run", TREE, "--seed", "1", "--depth-cap", "100000")
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_run_byte_identical_without_timestamp(capsys):
     _, first, _ = run_cli(capsys, "run", TREE, "--seed", "7", "--depth-cap", "5",
                           "--no-timestamp")
@@ -186,6 +200,13 @@ def test_predict_over_cap_marks_simulated(capsys, monkeypatch):
     assert fields[5] == "over-cap"
 
 
+@pytest.mark.parametrize("b, d", [("10", "400"), ("3", "20000000")])
+def test_predict_beyond_float_range_exits_1(capsys, b, d):
+    code, _, err = run_cli(capsys, "predict", b, d, "1")
+    assert code == 1
+    assert err.startswith("error:")
+
+
 # --- bench --------------------------------------------------------------------------
 
 def test_bench_ratios_within_bound(capsys):
@@ -225,6 +246,17 @@ def test_verify_engine_agreement_detects_injected_fault(capsys):
                            "--inject-fault", "diffusion")
     assert code == 1
     assert "FAIL engine-agreement" in out
+
+
+def test_verify_injected_fault_fails_every_dense_check_and_runs_all_nine(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--inject-fault", "diffusion")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 10  # nine checks + summary
+    failed = {line.split()[1] for line in lines[:-1] if line.startswith("FAIL")}
+    assert failed == {"grover-correctness", "measurement-statistics",
+                      "unitarity-drift", "engine-agreement"}
+    assert lines[-1].startswith("FAIL 5/9")
 
 
 def test_verify_unknown_check_errors(capsys):

@@ -1,4 +1,4 @@
-"""The deepening search loop, its accounting, retry statistics, and reports."""
+"""The deepening search loop, its accounting, and reports."""
 
 import math
 
@@ -7,9 +7,8 @@ import pytest
 from conftest import make_system
 from qids.driver import (QidConfig, account_oracle_calls, depth_rng,
                          oracle_call_schedule, quantum_iterative_deepening,
-                         report_from_json, report_to_dict, report_to_json,
-                         retry_statistics)
-from qids.errors import InputError
+                         report_from_json, report_to_dict, report_to_json)
+from qids.errors import InputError, SizeLimit
 from qids.grover import optimal_iterations, predicted_success_exact
 from qids.production import execute_sequence, tree_system
 
@@ -46,6 +45,12 @@ def test_tree_search_finds_unique_goal(fig_tree):
 def test_start_must_be_initial(fig_tree):
     with pytest.raises(InputError):
         run(fig_tree, "aE", seed=0)
+
+
+def test_depth_cap_over_the_sim_cap_is_refused_without_building_b_to_the_cap():
+    system = make_system([("A", "B"), ("A", "C"), ("A", "x")], start="A")
+    with pytest.raises(SizeLimit, match="over the cap of"):
+        run(system, "A", seed=0, depth_cap=10**9)
 
 
 def test_unsatisfiable_reports_cap_exceeded():
@@ -145,25 +150,6 @@ def test_schedule_depth_zero():
 def test_schedule_b3_ratio():
     total = sum(oracle_call_schedule(3, 9))
     assert total / math.sqrt(3**9) <= 4
-
-
-def test_retry_statistics_n16():
-    system = tree_system(4, "abab")
-    config = QidConfig(seed=300, depth_cap=7)
-    rows = retry_statistics(system, "E", config, trials=10_000)
-    front = rows[0]
-    assert (front.depth, front.n_paths, front.k, front.m) == (4, 16, 1, 3)
-    assert front.predicted_failure == pytest.approx(1 - 0.9613, abs=1e-4)
-    assert abs(front.observed_failure - front.predicted_failure) < 0.02
-    assert front.runs_reaching == 10_000
-    assert all(row.k > 0 for row in rows)  # k = 0 depths never tabulated
-
-
-def test_retry_statistics_all_marked_never_fails():
-    system = make_system([("A", "B")], start="A", goals=("A",))
-    rows = retry_statistics(system, "A", QidConfig(seed=1, depth_cap=3), trials=50)
-    assert rows[0].depth == 0
-    assert rows[0].observed_failure == 0.0
 
 
 def test_search_on_nondeterministic_compiled_machine():

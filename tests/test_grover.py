@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qids.errors import InputError, KZero, SizeLimit
-from qids.grover import (AmplificationRound, OracleSpec, amplified_probabilities,
-                         amplified_state, apply_diffusion, apply_oracle,
-                         count_solutions, grover_iterate,
+from qids.grover import (amplified_probabilities, amplified_state,
+                         apply_diffusion, apply_oracle, grover_iterate,
                          literal_iterations, marked_mass, optimal_iterations,
                          predicted_success_asymptotic, predicted_success_exact,
                          simulated_success)
@@ -26,8 +25,8 @@ def minus_uniform(b, d):
 
 def test_oracle_phase_flips_marked_entry_only():
     state = minus_uniform(4, 1)
-    oracle = OracleSpec.from_marks(np.arange(4) == 1)
-    flipped = apply_oracle(state, oracle)
+    marks = np.arange(4) == 1
+    flipped = apply_oracle(state, marks)
     grid, orig = flipped.grid(), state.grid()
     assert np.allclose(grid[0, 1, :], -orig[0, 1, :])
     for p in (0, 2, 3):
@@ -36,8 +35,8 @@ def test_oracle_phase_flips_marked_entry_only():
 
 def test_oracle_with_empty_predicate_is_identity():
     state = minus_uniform(2, 3)
-    oracle = OracleSpec.from_marks(np.zeros(8, dtype=bool))
-    assert np.array_equal(apply_oracle(state, oracle).amps, state.amps)
+    marks = np.zeros(8, dtype=bool)
+    assert np.array_equal(apply_oracle(state, marks).amps, state.amps)
 
 
 def test_oracle_is_involution():
@@ -46,22 +45,27 @@ def test_oracle_is_involution():
         state = uniform_superposition(2, 4)
         raw = gen.normal(size=state.dimension) + 1j * gen.normal(size=state.dimension)
         state.amps[:] = raw / np.linalg.norm(raw)
-        oracle = OracleSpec.from_marks(gen.random(16) < 0.4)
-        twice = apply_oracle(apply_oracle(state, oracle), oracle)
+        marks = gen.random(16) < 0.4
+        twice = apply_oracle(apply_oracle(state, marks), marks)
         assert np.max(np.abs(twice.amps - state.amps)) < 1e-12
 
 
 def test_oracle_xors_halt_bit_without_minus_preparation():
     state = uniform_superposition(2, 2)  # halt bit |0> everywhere
-    oracle = OracleSpec.from_marks(np.arange(4) == 3)
-    out = apply_oracle(state, oracle).grid()
+    marks = np.arange(4) == 3
+    out = apply_oracle(state, marks).grid()
     assert out[0, 3, 0] == 0 and out[0, 3, 1] != 0
 
 
-def test_oracle_from_predicate_builds_marks_lazily():
-    oracle = OracleSpec(predicate=lambda w: w % 3 == 0, domain_size=9)
-    assert list(oracle.marks) == [True, False, False, True, False, False, True,
-                                  False, False]
+def test_oracle_reads_a_0_1_integer_array_as_a_mask():
+    state = minus_uniform(4, 1)
+    as_bool = apply_oracle(state, np.arange(4) == 1).amps
+    assert np.array_equal(apply_oracle(state, np.array([0, 1, 0, 0])).amps, as_bool)
+
+
+def test_oracle_rejects_a_bitmap_of_another_length():
+    with pytest.raises(InputError):
+        apply_oracle(minus_uniform(4, 1), np.zeros(8, dtype=bool))
 
 
 # --- diffusion -------------------------------------------------------------------
@@ -90,21 +94,21 @@ def test_diffusion_preserves_norm():
 # --- iterate ---------------------------------------------------------------------
 
 def test_single_iterate_nails_n4_k1():
-    oracle = OracleSpec.from_marks(np.arange(4) == 2)
-    state = grover_iterate(minus_uniform(4, 1), oracle)
-    assert marked_mass(state, oracle) == pytest.approx(1.0, abs=1e-12)
+    marks = np.arange(4) == 2
+    state = grover_iterate(minus_uniform(4, 1), marks)
+    assert marked_mass(state, marks) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_iterate_with_no_marks_fixes_uniform():
-    oracle = OracleSpec.from_marks(np.zeros(8, dtype=bool))
+    marks = np.zeros(8, dtype=bool)
     state = minus_uniform(2, 3)
-    out = grover_iterate(state, oracle)
+    out = grover_iterate(state, marks)
     assert np.max(np.abs(out.amps - state.amps)) < 1e-12
 
 
 def test_three_iterates_n16():
-    oracle = OracleSpec.from_marks(np.arange(16) == 11)
-    assert simulated_success(2, 4, oracle, 3) == pytest.approx(0.9613, abs=1e-4)
+    marks = np.arange(16) == 11
+    assert simulated_success(2, 4, marks, 3) == pytest.approx(0.9613, abs=1e-4)
 
 
 # --- iterate-count policy -----------------------------------------------------------
@@ -125,19 +129,6 @@ def test_literal_iterations():
     assert literal_iterations(17) == 4
 
 
-def test_amplification_round_angle_and_bounds():
-    round_ = AmplificationRound(16, 1, optimal_iterations(16, 1))
-    assert round_.theta == pytest.approx(2 * math.asin(0.25))
-    assert 0 <= round_.theta <= math.pi
-    assert round_.success_probability == pytest.approx(0.9613, abs=1e-4)
-    assert AmplificationRound(8, 8, 0).theta == pytest.approx(math.pi)
-    assert AmplificationRound(8, 0, 0).success_probability == 0.0
-    with pytest.raises(InputError):
-        AmplificationRound(4, 5, 1)
-    with pytest.raises(InputError):
-        AmplificationRound(4, 1, -1)
-
-
 # --- closed forms --------------------------------------------------------------------
 
 def test_asymptotic_form_at_b2_d2():
@@ -155,8 +146,8 @@ def test_asymptotic_tracks_exact_at_depth8():
     exact = predicted_success_exact(256, 1, optimal_iterations(256, 1))
     asym = predicted_success_asymptotic(2, 8, 1)
     assert abs(asym - exact) <= 0.05
-    oracle = OracleSpec.from_marks(np.arange(256) == 77)
-    sim = simulated_success(2, 8, oracle, optimal_iterations(256, 1))
+    marks = np.arange(256) == 77
+    sim = simulated_success(2, 8, marks, optimal_iterations(256, 1))
     assert abs(asym - sim) <= 0.05
 
 
@@ -172,9 +163,8 @@ def test_exact_form_matches_simulation(n, k):
     gen = np.random.default_rng(n * 100 + k)
     marks = np.zeros(n, dtype=bool)
     marks[gen.choice(n, size=k, replace=False)] = True
-    oracle = OracleSpec.from_marks(marks)
     for m in range(11):
-        assert abs(simulated_success(n, 1, oracle, m)
+        assert abs(simulated_success(n, 1, marks, m)
                    - predicted_success_exact(n, k, m)) < 1e-9
 
 
@@ -201,7 +191,7 @@ def test_closed_form_probabilities_match_dense_engine(case):
     k = int(marks.sum())
     closed = amplified_probabilities(marks, k, m)
     # b = N, d = 1 gives a dense register of exactly N sequences
-    dense = amplified_state(len(marks), 1, OracleSpec.from_marks(marks), m).probabilities()
+    dense = amplified_state(len(marks), 1, marks, m).probabilities()
     assert closed.shape == dense.shape
     assert np.max(np.abs(closed - dense)) <= 1e-12
     assert abs(closed.sum() - 1.0) <= 1e-12
@@ -226,11 +216,6 @@ def test_optimal_policy_reaches_half_mass_when_sparse():
 
 # --- counting -------------------------------------------------------------------------
 
-def test_count_solutions_examples():
-    assert count_solutions(OracleSpec.from_marks(np.arange(8) < 2)) == 2
-    assert count_solutions(OracleSpec.from_marks(np.zeros(8, dtype=bool))) == 0
-
-
 def test_prefix_structure_grows_counts():
     system = tree_system(3)
     k = {d: int(marked_vector(system, "E", d).sum()) for d in range(7)}
@@ -251,8 +236,8 @@ def test_prefix_structure_grows_counts_on_random_systems():
 
 def test_unitarity_across_iterates():
     gen = np.random.default_rng(17)
-    oracle = OracleSpec.from_marks(gen.random(64) < 0.2)
+    marks = gen.random(64) < 0.2
     state = minus_uniform(2, 6)
     for _ in range(200):
-        state = grover_iterate(state, oracle)
+        state = grover_iterate(state, marks)
     assert abs(state.norm() - 1.0) < 1e-12

@@ -6,14 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_system, random_system
-from qids.errors import AlphabetMismatch, CapExceeded, InputError, MemoryOverflow
-from qids.production import (Alphabet, MuProblem, Rule,
-                             apply_rule, classical_ids, classical_mu,
-                             deterministic_trace, enumerate_paths,
-                             execute_sequence, halting_predicate,
-                             index_to_sequence, load_system, marked_vector,
-                             save_system, sequence_to_index, system_from_dict,
+from conftest import enumerate_paths, make_system, random_system, sequence_to_index
+from qids.errors import AlphabetMismatch, InputError, MemoryOverflow
+from qids.production import (Alphabet, Rule, apply_rule, classical_ids,
+                             deterministic_trace, execute_sequence,
+                             halting_predicate, index_to_sequence, load_system,
+                             marked_vector, save_system, system_from_dict,
                              system_to_dict, tree_system)
 
 
@@ -248,36 +246,6 @@ def test_marked_vector_matches_predicate(fig_tree):
         marks = marked_vector(fig_tree, "E", d)
         for i, seq in enumerate(enumerate_paths(2, d)):
             assert bool(marks[i]) == bool(halting_predicate(fig_tree, "E", seq))
-
-
-# --- classical_mu -------------------------------------------------------------
-
-def test_mu_least_square_root():
-    problem = MuProblem(evaluator=lambda args, m: m * m, target=9, cap=100)
-    assert classical_mu(problem) == 3
-
-
-def test_mu_unsatisfiable_raises():
-    problem = MuProblem(evaluator=lambda args, m: 0, target=1, cap=100)
-    with pytest.raises(CapExceeded):
-        classical_mu(problem)
-
-
-def test_mu_minimality_rescan():
-    problem = MuProblem(evaluator=lambda args, m: (m % 7) * (m % 5), target=12, cap=200)
-    m = classical_mu(problem)
-    assert problem.evaluator((), m) == 12
-    assert all(problem.evaluator((), j) != 12 for j in range(m))
-
-
-def test_mu_over_halting_depth_equals_ids():
-    system = tree_system(4, "abab")
-
-    def any_halting_sequence(args, m):
-        return int(any(halting_predicate(system, "E", s) for s in enumerate_paths(2, m)))
-
-    assert classical_mu(MuProblem(any_halting_sequence, target=1, cap=10)) == 4
-    assert classical_ids(system, "E", 8).d_star == 4
 
 
 # --- classical_ids ------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Statevector engine: preparation, measurement, projection, demo, dump."""
+"""Statevector engine: preparation, measurement, projection, demo."""
 
-import io
 import itertools
 
 import numpy as np
@@ -8,11 +7,18 @@ import pytest
 
 from conftest import make_system
 from qids.errors import InputError, NormDrift, SizeLimit, ZeroProbability
-from qids.statevector import (BasisIndex, basis_state, dump_state,
-                              halt_timing_demo, load_state, measure,
+from qids.statevector import (BasisIndex, halt_timing_demo, measure,
                               prepare_halt_minus, project_halt,
                               uniform_superposition)
 from qids.verify import halt_timing_system
+
+
+def basis_state(b, d, label):
+    """All amplitude on one basis label of a fixed-start register."""
+    state = uniform_superposition(b, d)
+    state.amps[:] = 0
+    state.amps[label.to_flat(1, b, d)] = 1.0
+    return state
 
 
 def test_basis_index_round_trip():
@@ -53,7 +59,7 @@ def test_uniform_superposition_refuses_oversize(monkeypatch):
 
 
 def test_prepare_halt_minus_on_basis_state():
-    state = basis_state(1, 2, 0, BasisIndex(0, 0, 0))
+    state = basis_state(2, 0, BasisIndex(0, 0, 0))
     minus = prepare_halt_minus(state)
     assert minus.amps[0] == pytest.approx(1 / np.sqrt(2))
     assert minus.amps[1] == pytest.approx(-1 / np.sqrt(2))
@@ -68,7 +74,7 @@ def test_prepare_halt_minus_on_uniform_eight_paths():
 
 
 def test_prepare_halt_minus_requires_clean_halt_bit():
-    state = basis_state(1, 2, 0, BasisIndex(0, 0, 1))
+    state = basis_state(2, 0, BasisIndex(0, 0, 1))
     with pytest.raises(InputError):
         prepare_halt_minus(state)
 
@@ -86,7 +92,7 @@ def test_measure_uniform_four_outcomes():
 
 
 def test_measure_basis_state_is_certain():
-    state = basis_state(1, 3, 2, BasisIndex(0, 7, 1))
+    state = basis_state(3, 2, BasisIndex(0, 7, 1))
     for _ in range(5):
         label = measure(state, np.random.default_rng(0))
         assert label == BasisIndex(0, 7, 1)
@@ -100,9 +106,8 @@ def test_measure_is_seed_deterministic():
 
 
 def test_measure_amplified_state_frequency():
-    from qids.grover import OracleSpec, amplified_state
-    oracle = OracleSpec.from_marks(np.arange(16) == 5)
-    state = amplified_state(2, 4, oracle, 3)
+    from qids.grover import amplified_state
+    state = amplified_state(2, 4, np.arange(16) == 5, 3)
     marked_prob = float(np.sum(np.abs(state.grid()[0, 5, :]) ** 2))
     rng = np.random.default_rng(123)
     hits = sum(measure(state, rng).p_index == 5 for _ in range(10_000))
@@ -186,20 +191,3 @@ def test_demo_four_inputs_straddling():
 def test_demo_probabilities_complementary():
     report = halt_timing_demo(halt_timing_system(), 4, step_cap=8)
     assert abs(report.p_halt + report.p_continue - 1.0) < 1e-10
-
-
-# --- state dump -------------------------------------------------------------------
-
-def test_dump_load_round_trip():
-    state = prepare_halt_minus(uniform_superposition(3, 2))
-    buffer = io.StringIO()
-    dump_state(state, buffer)
-    buffer.seek(0)
-    loaded = load_state(buffer)
-    assert loaded.num_s == 1 and loaded.b == 3 and loaded.d == 2
-    assert np.array_equal(loaded.amps, state.amps)
-
-
-def test_load_rejects_unknown_tag():
-    with pytest.raises(InputError):
-        load_state(io.StringIO("some-other-format 9\n"))

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from qids.errors import (CapExceeded, EncodingClash, InputError,
-                         MalformedEncoding, TapeOverflow)
+from qids.errors import EncodingClash, InputError, MalformedEncoding, TapeOverflow
 from qids.production import classical_ids, deterministic_trace, execute_sequence
 from qids.turing import (DeltaEntry, TMConfiguration, TuringMachineSpec,
                          compile_tm, decode_config, encode_config,
-                         initial_memory, load_tm, run_tm, save_tm, tm_from_dict,
+                         initial_memory, load_tm, save_tm, tm_from_dict,
                          tm_to_dict, tm_trace)
 from qids.verify import tm_corpus
 
@@ -51,37 +50,34 @@ def test_nondeterministic_machine_flagged():
                   ("q", "_", "h", "_", "S")])
     assert not tm.is_deterministic
     with pytest.raises(InputError, match="deterministic"):
-        run_tm(tm, "1", 10)
+        tm_trace(tm, "1", 10)
 
 
 # --- direct execution ------------------------------------------------------------
 
 def test_unary_increment_hand_trace(unary_inc):
     # q scans 1s rightward, writes a 1 over the first blank, halts
-    result = run_tm(unary_inc, "11", 100)
-    assert result.config.tape.rstrip("_") == "111"
-    assert result.config.state == "h"
-    assert result.steps == 3
     trace = tm_trace(unary_inc, "11", 100)
+    assert trace[-1].tape.rstrip("_") == "111"
     assert [(c.state, c.head) for c in trace] == [("q", 0), ("q", 1), ("q", 2), ("h", 2)]
 
 
 def test_start_state_is_halt_state():
     tm = make_tm([], states=("h",), start="h", halts=("h",))
-    result = run_tm(tm, "11", 10)
-    assert result.steps == 0 and result.config.tape == "11"
+    trace = tm_trace(tm, "11", 10)
+    assert len(trace) == 1 and trace[0].tape == "11"
 
 
 def test_loop_forever_hits_cap():
     tm = make_tm([("q", "1", "q", "1", "S"), ("q", "_", "q", "_", "S")])
-    with pytest.raises(CapExceeded):
-        run_tm(tm, "1", 50)
+    trace = tm_trace(tm, "1", 50)
+    assert len(trace) == 51 and trace[-1].state not in tm.halts
 
 
 def test_right_edge_extends_then_overflows(unary_inc):
     small = make_tm([("q", "1", "q", "1", "R"), ("q", "_", "q", "1", "R")], window=4)
     with pytest.raises(TapeOverflow):
-        run_tm(small, "1", 100)
+        tm_trace(small, "1", 100)
     # blanks are revealed one per rightward move until the window fills
     trace = tm_trace(small, "1", 3)
     assert trace[-1].tape == "111_" and trace[-1].head == 3
@@ -90,7 +86,7 @@ def test_right_edge_extends_then_overflows(unary_inc):
 def test_left_edge_extends_then_overflows():
     lefty = make_tm([("q", "1", "q", "1", "L"), ("q", "_", "q", "1", "L")], window=3)
     with pytest.raises(TapeOverflow):
-        run_tm(lefty, "1", 100)
+        tm_trace(lefty, "1", 100)
     trace = tm_trace(lefty, "1", 2)
     assert trace[-1].tape == "_11" and trace[-1].head == 0
 
@@ -214,7 +210,7 @@ def test_edge_overflow_matches_compiled():
     # step where the compiled memory string can no longer grow
     tm = make_tm([("q", "1", "q", "1", "R"), ("q", "_", "q", "1", "R")], window=4)
     with pytest.raises(TapeOverflow):
-        run_tm(tm, "1", 100)
+        tm_trace(tm, "1", 100)
     survivable = 0
     while True:
         try:
