@@ -19,15 +19,17 @@ rejected.
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AlphabetMismatch, InputError, MemoryOverflow
-from .limits import check_size
+from .jsonfields import check_object, read_field, read_list_of
+from .limits import check_size, sim_cap
 
 RULE_MATCH_MODES = ("substring", "exact")
 GOAL_MATCH_MODES = ("exact", "substring")
@@ -118,11 +120,6 @@ class ProductionSystem:
     def branching_factor(self) -> int:
         return len(self.rules)
 
-    def is_goal(self, memory: str) -> bool:
-        if self.goal_match == "exact":
-            return memory in self.goal_states
-        return any(g in memory for g in self.goal_states)
-
 
 @dataclass
 class ExecutionResult:
@@ -150,25 +147,44 @@ class ClassicalSearchResult:
     nodes_expanded: int
 
 
+def _rewrite(memory: str, pre: str, post: str, exact: bool) -> str | None:
+    """One rewrite step with no checks: the result, or None if the rule does not match.
+
+    Substring mode rewrites the leftmost occurrence of `pre`; exact mode
+    requires `pre` to equal the whole memory. A rewrite of strings over the
+    alphabet by rules over the alphabet stays in it, so once the rules (at
+    construction) and the start string (once per walk) are checked, no step
+    needs an alphabet check. The caller compares the result's length with
+    `max_memory_len`.
+    """
+    if exact:
+        return post if memory == pre else None
+    if pre in memory:
+        return memory.replace(pre, post, 1)
+    return None
+
+
+def _goal_test(system: ProductionSystem) -> Callable[[str], bool]:
+    """The system's goal predicate on a memory string, built once per walk."""
+    if system.goal_match == "exact":
+        return frozenset(system.goal_states).__contains__
+    goals = system.goal_states
+    return lambda memory: any(g in memory for g in goals)
+
+
 def apply_rule(system: ProductionSystem, memory: str, rule: Rule) -> str | None:
     """Apply one rule to a memory string, or return None if it does not match.
 
     Substring mode rewrites the leftmost occurrence of the precondition;
-    exact mode requires the precondition to equal the whole memory.
+    exact mode requires the precondition to equal the whole memory. The
+    checked entry point: the rule and the memory must be over the alphabet,
+    and a result longer than `max_memory_len` raises MemoryOverflow.
     """
     system.alphabet.check_string(rule.precondition, "rule precondition")
     system.alphabet.check_string(rule.action, "rule action")
     system.alphabet.check_string(memory, "working memory")
-    if system.rule_match == "exact":
-        if memory != rule.precondition:
-            return None
-        result = rule.action
-    else:
-        at = memory.find(rule.precondition)
-        if at < 0:
-            return None
-        result = memory[:at] + rule.action + memory[at + len(rule.precondition):]
-    if len(result) > system.max_memory_len:
+    result = _rewrite(memory, rule.precondition, rule.action, system.rule_match == "exact")
+    if result is not None and len(result) > system.max_memory_len:
         raise MemoryOverflow(
             f"rewrite to {len(result)} symbols exceeds capacity {system.max_memory_len}"
         )
@@ -177,27 +193,30 @@ def apply_rule(system: ProductionSystem, memory: str, rule: Rule) -> str | None:
 
 def _walk(system: ProductionSystem, start: str, seq: Sequence[int]) -> ExecutionResult:
     """Apply a sequence of rule indices, tracking the shallowest goal hit."""
+    system.alphabet.check_string(start, "start state")
     b = system.branching_factor
+    exact = system.rule_match == "exact"
+    is_goal = _goal_test(system)
     memory = start
     trace = [memory]
-    halt_depth = 0 if system.is_goal(memory) else None
+    halt_depth = 0 if is_goal(memory) else None
     stop_reason = "completed"
     applied = 0
     for step, idx in enumerate(seq):
         if not 0 <= idx < b:
             raise InputError(f"rule index {idx} out of range for {b} rules")
-        try:
-            nxt = apply_rule(system, memory, system.rules[idx])
-        except MemoryOverflow:
-            stop_reason = "overflow"
-            break
+        rule = system.rules[idx]
+        nxt = _rewrite(memory, rule.precondition, rule.action, exact)
         if nxt is None:
             stop_reason = "inapplicable"
+            break
+        if len(nxt) > system.max_memory_len:
+            stop_reason = "overflow"
             break
         memory = nxt
         trace.append(memory)
         applied = step + 1
-        if halt_depth is None and system.is_goal(memory):
+        if halt_depth is None and is_goal(memory):
             halt_depth = applied
     return ExecutionResult(trace, halt_depth is not None, halt_depth, applied, stop_reason)
 
@@ -209,7 +228,6 @@ def execute_sequence(system: ProductionSystem, start: str, seq: Sequence[int]) -
     once a goal has been hit the sequence already counts as halting, so later
     overflow merely truncates the trace.
     """
-    system.alphabet.check_string(start, "start state")
     result = _walk(system, start, tuple(seq))
     if result.stop_reason == "overflow" and not result.halted:
         raise MemoryOverflow(
@@ -238,35 +256,81 @@ def index_to_sequence(value: int, b: int, d: int) -> RuleSequence:
     return tuple(reversed(digits))
 
 
-@lru_cache(maxsize=4096)
+def _byte_bounded_cache(walk):
+    """Memoise `walk(system, start, d)` on bitmaps of at most `sim_cap()` bytes in all.
+
+    Entries are keyed by the system's identity, not its value, so a hit is
+    one dict lookup whose key hashes in constant time instead of hashing
+    every rule of the system. Each entry holds its system, so that id cannot
+    be reused while the entry lives. Before a bitmap is inserted, the oldest
+    entries are dropped until it fits; one that alone exceeds the cap is
+    returned without being kept.
+    """
+    entries: dict[tuple[int, str, int], tuple[ProductionSystem, np.ndarray, int]] = {}
+    held = 0
+
+    @functools.wraps(walk)
+    def cached(system: ProductionSystem, start: str, d: int) -> np.ndarray:
+        nonlocal held
+        key = (id(system), start, d)
+        try:
+            return entries[key][1]
+        except KeyError:
+            pass
+        marks = walk(system, start, d)
+        size = sys.getsizeof(marks)
+        cap = sim_cap()
+        if size <= cap:
+            while held + size > cap:
+                held -= entries.pop(next(iter(entries)))[2]
+            entries[key] = (system, marks, size)
+            held += size
+        return marks
+
+    def cache_clear() -> None:
+        nonlocal held
+        entries.clear()
+        held = 0
+
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_byte_bounded_cache
 def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
     """Halting bit for every depth-d sequence; entry i is `index_to_sequence(i, b, d)`.
 
-    Shares rewriting work across common prefixes: once a prefix halts the
-    whole subtree is marked without descending, and a dead prefix
-    (inapplicable rule or overflow) zeroes its subtree.
+    A depth-first walk with O(d) memory that shares rewriting work across
+    common prefixes: once a prefix halts the whole subtree is marked without
+    descending, and a dead prefix (inapplicable rule or overflow) zeroes its
+    subtree. The start string is checked once; every step is an unchecked
+    `_rewrite`. The bitmap is read-only and cached (`marked_vector.cache_clear()`
+    empties the cache).
     """
     b = system.branching_factor
     n = b**d
     check_size(n, f"path space b={b} d={d}")
-    marks = np.zeros(n, dtype=bool)
     system.alphabet.check_string(start, "start state")
+    marks = np.zeros(n, dtype=bool)
+    pairs = [(rule.precondition, rule.action) for rule in system.rules]
+    exact = system.rule_match == "exact"
+    max_len = system.max_memory_len
+    is_goal = _goal_test(system)
+    spans = [b ** (d - depth) for depth in range(d + 1)]
 
     def fill(memory: str, depth: int, base: int) -> None:
-        span = b ** (d - depth)
-        if system.is_goal(memory):
-            marks[base:base + span] = True
+        if is_goal(memory):
+            marks[base:base + spans[depth]] = True
             return
         if depth == d:
             return
-        child_span = span // b
-        for i, rule in enumerate(system.rules):
-            try:
-                nxt = apply_rule(system, memory, rule)
-            except MemoryOverflow:
-                continue
-            if nxt is not None:
-                fill(nxt, depth + 1, base + i * child_span)
+        depth += 1
+        child_span = spans[depth]
+        for pre, post in pairs:
+            nxt = _rewrite(memory, pre, post, exact)
+            if nxt is not None and len(nxt) <= max_len:
+                fill(nxt, depth, base)
+            base += child_span
 
     fill(start, 0, 0)
     marks.flags.writeable = False
@@ -283,21 +347,22 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
     if depth_cap < 0:
         raise InputError("depth_cap must be >= 0")
     system.alphabet.check_string(start, "start state")
+    pairs = [(rule.precondition, rule.action) for rule in system.rules]
+    exact = system.rule_match == "exact"
+    max_len = system.max_memory_len
+    is_goal = _goal_test(system)
     expanded = 0
 
     def dls(memory: str, path: list[int], limit: int) -> RuleSequence | None:
         nonlocal expanded
-        if system.is_goal(memory):
+        if is_goal(memory):
             return tuple(path)
         if len(path) == limit:
             return None
         expanded += 1
-        for i, rule in enumerate(system.rules):
-            try:
-                nxt = apply_rule(system, memory, rule)
-            except MemoryOverflow:
-                continue
-            if nxt is None:
+        for i, (pre, post) in enumerate(pairs):
+            nxt = _rewrite(memory, pre, post, exact)
+            if nxt is None or len(nxt) > max_len:
                 continue
             path.append(i)
             hit = dls(nxt, path, limit)
@@ -332,27 +397,27 @@ def deterministic_trace(system: ProductionSystem, start: str, max_steps: int) ->
     overflow, or after max_steps.
     """
     system.alphabet.check_string(start, "start state")
+    pairs = [(rule.precondition, rule.action) for rule in system.rules]
+    exact = system.rule_match == "exact"
+    is_goal = _goal_test(system)
     memory = start
     trace = [memory]
     rule_steps: list[int] = []
-    if system.is_goal(memory):
+    if is_goal(memory):
         return DeterministicTrace(trace, 0, rule_steps, "goal")
     for step in range(1, max_steps + 1):
-        fired = None
-        for i, rule in enumerate(system.rules):
-            try:
-                nxt = apply_rule(system, memory, rule)
-            except MemoryOverflow:
-                return DeterministicTrace(trace, None, rule_steps, "overflow")
+        for i, (pre, post) in enumerate(pairs):
+            nxt = _rewrite(memory, pre, post, exact)
             if nxt is not None:
-                fired = (i, nxt)
                 break
-        if fired is None:
+        else:
             return DeterministicTrace(trace, None, rule_steps, "stuck")
-        rule_steps.append(fired[0])
-        memory = fired[1]
+        if len(nxt) > system.max_memory_len:
+            return DeterministicTrace(trace, None, rule_steps, "overflow")
+        rule_steps.append(i)
+        memory = nxt
         trace.append(memory)
-        if system.is_goal(memory):
+        if is_goal(memory):
             return DeterministicTrace(trace, step, rule_steps, "goal")
     return DeterministicTrace(trace, None, rule_steps, "cap")
 
@@ -363,33 +428,21 @@ _RULE_FIELDS = {"pre", "post"}
 
 
 def system_from_dict(data: dict) -> ProductionSystem:
-    """Build a ProductionSystem from parsed JSON, rejecting unknown fields."""
-    if not isinstance(data, dict):
-        raise InputError("system definition must be a JSON object")
-    unknown = set(data) - _SYSTEM_FIELDS
-    if unknown:
-        raise InputError(f"unknown system field(s): {', '.join(sorted(unknown))}")
-    for required in ("alphabet", "rules", "initial", "goals"):
-        if required not in data:
-            raise InputError(f"system field {required!r} is missing")
+    """Build a ProductionSystem from parsed JSON, rejecting unknown or mistyped fields."""
+    check_object(data, _SYSTEM_FIELDS, "system definition")
     rules = []
-    for i, entry in enumerate(data["rules"]):
-        if not isinstance(entry, dict):
-            raise InputError(f"rules[{i}] must be an object")
-        bad = set(entry) - _RULE_FIELDS
-        if bad:
-            raise InputError(f"rules[{i}] has unknown field(s): {', '.join(sorted(bad))}")
-        if "pre" not in entry or "post" not in entry:
-            raise InputError(f"rules[{i}] needs both 'pre' and 'post'")
-        rules.append(Rule(str(entry["pre"]), str(entry["post"])))
+    for i, entry in enumerate(read_field(data, "rules", list, "system")):
+        check_object(entry, _RULE_FIELDS, f"rules[{i}]")
+        rules.append(Rule(read_field(entry, "pre", str, f"rules[{i}]"),
+                          read_field(entry, "post", str, f"rules[{i}]")))
     return ProductionSystem(
-        alphabet=Alphabet(tuple(str(s) for s in data["alphabet"])),
+        alphabet=Alphabet(read_list_of(data, "alphabet", str, "system")),
         rules=tuple(rules),
-        initial_states=tuple(str(s) for s in data["initial"]),
-        goal_states=tuple(str(s) for s in data["goals"]),
-        max_memory_len=int(data.get("max_memory_len", 64)),
-        rule_match=str(data.get("rule_match", "substring")),
-        goal_match=str(data.get("goal_match", "exact")),
+        initial_states=read_list_of(data, "initial", str, "system"),
+        goal_states=read_list_of(data, "goals", str, "system"),
+        max_memory_len=read_field(data, "max_memory_len", int, "system", 64),
+        rule_match=read_field(data, "rule_match", str, "system", "substring"),
+        goal_match=read_field(data, "goal_match", str, "system", "exact"),
     )
 
 

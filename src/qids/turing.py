@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EncodingClash, InputError, MalformedEncoding, TapeOverflow
+from .jsonfields import check_object, read_field, read_list_of
 from .production import Alphabet, ProductionSystem, Rule
 
 MOVES = ("L", "R", "S")
@@ -275,27 +276,21 @@ _TM_FIELDS = {"states", "start", "halts", "blank", "tape_alphabet", "delta", "ta
 
 
 def tm_from_dict(data: dict) -> TuringMachineSpec:
-    if not isinstance(data, dict):
-        raise InputError("machine definition must be a JSON object")
-    unknown = set(data) - _TM_FIELDS
-    if unknown:
-        raise InputError(f"unknown machine field(s): {', '.join(sorted(unknown))}")
-    for required in ("states", "start", "halts", "blank", "tape_alphabet", "delta"):
-        if required not in data:
-            raise InputError(f"machine field {required!r} is missing")
+    """Build a TuringMachineSpec from parsed JSON, rejecting unknown or mistyped fields."""
+    check_object(data, _TM_FIELDS, "machine definition")
     entries = []
-    for i, row in enumerate(data["delta"]):
-        if not isinstance(row, list) or len(row) != 5:
-            raise InputError(f"delta[{i}] must be [state, read, next, write, move]")
-        entries.append(DeltaEntry(*map(str, row)))
+    for i, row in enumerate(read_field(data, "delta", list, "machine")):
+        if not (isinstance(row, list) and len(row) == 5 and all(isinstance(x, str) for x in row)):
+            raise InputError(f"delta[{i}] must be [state, read, next, write, move] strings")
+        entries.append(DeltaEntry(*row))
     return TuringMachineSpec(
-        states=tuple(str(s) for s in data["states"]),
-        start=str(data["start"]),
-        halts=frozenset(str(s) for s in data["halts"]),
-        blank=str(data["blank"]),
-        tape_alphabet=tuple(str(s) for s in data["tape_alphabet"]),
+        states=read_list_of(data, "states", str, "machine"),
+        start=read_field(data, "start", str, "machine"),
+        halts=frozenset(read_list_of(data, "halts", str, "machine")),
+        blank=read_field(data, "blank", str, "machine"),
+        tape_alphabet=read_list_of(data, "tape_alphabet", str, "machine"),
         entries=tuple(entries),
-        tape_window=int(data.get("tape_window", 64)),
+        tape_window=read_field(data, "tape_window", int, "machine", 64),
     )
 
 

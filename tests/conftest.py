@@ -31,8 +31,10 @@ def make_system(rules, start="A", goals=("B",), alphabet="ABCxy", max_len=16,
     )
 
 
-def random_system(rng, b=2, n_letters=3, max_len=20):
-    """Unstructured random rewriting system for property tests."""
+def random_system(rng, b=2, n_letters=3, max_len=20, rule_match="substring",
+                  goal_match="exact"):
+    """Unstructured random rewriting system for property tests; a small
+    `max_len` makes rewrites overflow."""
     letters = tuple("abc"[:n_letters])
 
     def word(lo, hi):
@@ -47,6 +49,8 @@ def random_system(rng, b=2, n_letters=3, max_len=20):
         initial_states=(start,),
         goal_states=(goal,),
         max_memory_len=max_len,
+        rule_match=rule_match,
+        goal_match=goal_match,
     ), start
 
 

@@ -62,6 +62,40 @@ def test_run_malformed_file_exits_1(capsys, tmp_path):
     assert "surprise" in err
 
 
+GOOD_SYSTEM = {"alphabet": ["a"], "rules": [{"pre": "a", "post": ""}],
+               "initial": ["a"], "goals": ["a"]}
+
+
+@pytest.mark.parametrize("field, value, rule_field", [
+    ("max_memory_len", "x", False),
+    ("rules", 5, False),
+    ("alphabet", "ab", False),
+    ("initial", [1], False),
+    ("pre", None, True),
+    ("post", 3, True),
+])
+def test_run_mistyped_system_field_exits_1(capsys, tmp_path, field, value, rule_field):
+    data = json.loads(json.dumps(GOOD_SYSTEM))
+    (data["rules"][0] if rule_field else data)[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "run", str(bad), "--seed", "1")
+    assert code == 1
+    assert err.startswith("error:") and repr(field) in err
+
+
+@pytest.mark.parametrize("field, value", [("tape_window", "z"), ("halts", "h"),
+                                          ("start", None)])
+def test_compile_mistyped_machine_field_exits_1(capsys, tmp_path, field, value):
+    data = json.loads(Path(UNARY_TM).read_text())
+    data[field] = value
+    bad = tmp_path / "bad.tm.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "compile-tm", str(bad), "-o", str(tmp_path / "out.json"))
+    assert code == 1
+    assert err.startswith("error:") and repr(field) in err
+
+
 def test_run_missing_file_exits_1(capsys):
     code, _, err = run_cli(capsys, "run", "nowhere.json", "--seed", "1")
     assert code == 1

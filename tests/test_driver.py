@@ -7,7 +7,8 @@ import pytest
 from conftest import make_system
 from qids.driver import (QidConfig, account_oracle_calls, depth_rng,
                          oracle_call_schedule, quantum_iterative_deepening,
-                         report_from_json, report_to_dict, report_to_json)
+                         report_from_dict, report_from_json, report_to_dict,
+                         report_to_json)
 from qids.errors import InputError, SizeLimit
 from qids.grover import optimal_iterations, predicted_success_exact
 from qids.production import execute_sequence, tree_system
@@ -187,3 +188,28 @@ def test_report_json_round_trip(fig_tree):
     assert report_to_json(parsed, include_volatile=False) == text
     assert parsed.witness == report.witness
     assert parsed.config == report.config
+
+
+@pytest.mark.parametrize("damage", [
+    lambda d: d.pop("per_depth"),
+    lambda d: d.pop("config"),
+    lambda d: d["config"].pop("seed"),
+    lambda d: d.update(found="yes"),
+    lambda d: d.update(witness=[0, "1"]),
+    lambda d: d["per_depth"][0].pop("k"),
+    lambda d: d["per_depth"][0].update(measured_index=1.5),
+    lambda d: d["per_depth"][0].update(colour="red"),
+    lambda d: d.update(per_depth=[3]),
+])
+def test_report_parser_rejects_missing_or_mistyped_fields(fig_tree, damage):
+    data = report_to_dict(run(fig_tree, "E", seed=42), include_volatile=False)
+    damage(data)
+    with pytest.raises(InputError):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("text", ['{"schema": "qids.search-report/1", "config": {"seed": 1}}',
+                                  "[1]", "{"])
+def test_report_parser_rejects_malformed_text(text):
+    with pytest.raises(InputError):
+        report_from_json(text)

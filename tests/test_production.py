@@ -2,9 +2,12 @@
 
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import enumerate_paths, make_system, random_system, sequence_to_index
 from qids.errors import AlphabetMismatch, InputError, MemoryOverflow
@@ -246,6 +249,53 @@ def test_marked_vector_matches_predicate(fig_tree):
         marks = marked_vector(fig_tree, "E", d)
         for i, seq in enumerate(enumerate_paths(2, d)):
             assert bool(marks[i]) == bool(halting_predicate(fig_tree, "E", seq))
+
+
+# two or three letters and a memory of 3 or 4 symbols make overflow common
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(2, 3), n_letters=st.integers(2, 3),
+       max_len=st.integers(3, 4), rule_match=st.sampled_from(("substring", "exact")),
+       goal_match=st.sampled_from(("exact", "substring")))
+def test_marking_walk_matches_reference(seed, b, n_letters, max_len, rule_match, goal_match):
+    """The unchecked walk's bitmap is the halting predicate on every sequence, and
+    classical_ids's d* is the first depth whose bitmap has marks."""
+    system, start = random_system(np.random.default_rng(seed), b=b, n_letters=n_letters,
+                                  max_len=max_len, rule_match=rule_match,
+                                  goal_match=goal_match)
+    cap = 6 if b == 2 else 5
+    first_marked = None
+    for d in range(cap + 1):
+        marks = marked_vector(system, start, d)
+        assert not marks.flags.writeable
+        expected = [halting_predicate(system, start, index_to_sequence(i, b, d))
+                    for i in range(b**d)]
+        assert marks.tolist() == [bool(x) for x in expected]
+        if first_marked is None and marks.any():
+            first_marked = d
+    assert classical_ids(system, start, cap).d_star == first_marked
+
+
+def test_marked_vector_overflow_kills_subtree():
+    # A -> AA -> AAA overflows a 2-symbol memory, so AAA -> B never reaches the goal
+    system = make_system([("A", "AA"), ("AAA", "B")], goals=("B",), max_len=2)
+    assert not marked_vector(system, "A", 3).any()
+    assert classical_ids(system, "A", 3).d_star is None
+
+
+def test_marking_cache_is_bounded_by_bytes(monkeypatch):
+    # room for the depth-10 bitmap or the depth-9 one, not both
+    both = sys.getsizeof(np.zeros(2**10, dtype=bool)) + sys.getsizeof(np.zeros(2**9, dtype=bool))
+    monkeypatch.setenv("QIDS_SIM_CAP", str(both - 1))
+    marked_vector.cache_clear()
+    system = tree_system(10, "ab" * 5)
+    first = marked_vector(system, "E", 10)
+    assert marked_vector(system, "E", 10) is first
+    other = marked_vector(system, "E", 9)
+    assert marked_vector(system, "E", 9) is other
+    again = marked_vector(system, "E", 10)
+    assert again is not first and np.array_equal(again, first)
+    marked_vector.cache_clear()
+    assert marked_vector(system, "E", 10) is not again
 
 
 # --- classical_ids ------------------------------------------------------------
