@@ -18,12 +18,12 @@ import time
 
 import numpy as np
 
-from .driver import (QidConfig, quantum_iterative_deepening, oracle_call_schedule,
-                     report_to_json)
+from .driver import (QidConfig, cumulative_calls, quantum_iterative_deepening,
+                     report_to_json, within_call_budget)
 from .errors import InputError, QidsError
 from .grover import (optimal_iterations, predicted_success_asymptotic,
                      predicted_success_exact, simulated_success)
-from .limits import sim_cap
+from .limits import check_float_range, sim_cap
 from .production import classical_ids, execute_sequence, load_system, save_system
 from .statevector import halt_timing_demo, measure
 from .turing import compile_tm, load_tm
@@ -201,9 +201,7 @@ def _cmd_demo_flaw(args) -> int:
 
 def _cmd_predict(args) -> int:
     b, d, k = args.b, args.d, args.k
-    # 2**1024 exceeds the largest float, so the clamped power settles any d
-    if b >= 1 and b ** min(d, 1024) > sys.float_info.max:
-        raise InputError(f"b**d = {b}**{d} is beyond floating-point range")
+    check_float_range(b, d)
     if b < 1 or d < 0 or k < 0 or k > b**d:
         raise InputError(f"need b >= 1, d >= 0, 0 <= k <= b**d; got b={b} d={d} k={k}")
     n = b**d
@@ -235,28 +233,19 @@ def _cmd_bench(args) -> int:
     for b in branching:
         if b < 2:
             raise InputError("bench needs branching factors >= 2")
-        schedule = oracle_call_schedule(b, args.depth_max, policy=args.iterate_policy)
-        total = 0
-        for d in range(args.depth_max + 1):
-            if b**d > sim_cap():
-                rows.append({"b": b, "d": d, "skipped": True})
-                continue
-            total += schedule[d]
-            root = (b**d) ** 0.5
-            rows.append({"b": b, "d": d, "skipped": False, "total_calls": total,
-                         "sqrt_bd": root, "ratio": total / root,
-                         "within_bound": total <= 4 * root})
+        for d, (total, root) in enumerate(cumulative_calls(b, args.depth_max,
+                                                           args.iterate_policy)):
+            rows.append({"b": b, "d": d, "total_calls": total, "sqrt_bd": root,
+                         "ratio": total / root,
+                         "within_bound": within_call_budget(total, b, d)})
     if args.format == "json":
         print(json.dumps({"policy": args.iterate_policy, "seed": args.seed, "rows": rows},
                          indent=2))
     else:
         print("b,d,total_calls,sqrt_bd,ratio,within_bound")
         for row in rows:
-            if row["skipped"]:
-                print(f"{row['b']},{row['d']},skipped,,,")
-            else:
-                print(f"{row['b']},{row['d']},{row['total_calls']},"
-                      f"{row['sqrt_bd']:.4f},{row['ratio']:.4f},{row['within_bound']}")
+            print(f"{row['b']},{row['d']},{row['total_calls']},"
+                  f"{row['sqrt_bd']:.4f},{row['ratio']:.4f},{row['within_bound']}")
     return EXIT_OK
 
 

@@ -15,7 +15,8 @@ engine's, which the `engine-agreement` check ties to this vector.
 
 Rebuilding makes the cost of re-scanning shallow levels geometric: with the
 optimal iterate policy the cumulative oracle-call count through depth d
-stays within 4 * sqrt(b**d) for any branching factor b >= 2.
+stays within 4 * sqrt(b**d) for any branching factor b >= 2: the budget
+that `within_call_budget` states and `cumulative_calls` tabulates.
 
 Reports serialise to JSON ("qids.search-report/1"). The volatile fields
 (wall time, timestamp) can be suppressed so reports from identical seeded
@@ -24,6 +25,7 @@ runs compare byte-for-byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -35,9 +37,9 @@ from .errors import InputError, SizeLimit
 from .grover import (amplified_probabilities, literal_iterations,
                      optimal_iterations, predicted_success_exact)
 from .jsonfields import check_object, read_field, read_list_of
-from .limits import sim_cap
-from .production import (ProductionSystem, RuleSequence, execute_sequence,
-                         index_to_sequence, marked_vector)
+from .limits import check_float_range, sim_cap
+from .production import (ProductionSystem, RuleSequence, check_walk_depth,
+                         execute_sequence, index_to_sequence, marked_vector)
 from .statevector import sample_index
 
 REPORT_SCHEMA = "qids.search-report/1"
@@ -160,6 +162,7 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
     if 2 * b ** min(depth_cap, cap.bit_length()) > cap:
         raise SizeLimit(f"depth cap {depth_cap} needs 2 * {b}**{depth_cap} amplitudes, "
                         f"over the cap of {cap}")
+    check_walk_depth(depth_cap)
 
     t0 = time.perf_counter()
     per_depth: list[DepthRecord] = []
@@ -191,33 +194,28 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
                         config.seed, config, time.perf_counter() - t0)
 
 
-@dataclass
-class CallAccounting:
-    total_calls: int
-    final_depth: int
-    branching_factor: int
-    bound: int
-    within_bound: bool
+def cumulative_calls(b: int, d_max: int, policy: str = "optimal") -> list[tuple[int, float]]:
+    """(cumulative single-mark iterate count, sqrt(b**d)) for each depth 0..d_max."""
+    if b < 1 or d_max < 0:
+        raise InputError("need b >= 1 and d_max >= 0")
+    check_float_range(b, d_max)
+    totals = itertools.accumulate(iterate_count(b**d, 1, policy) for d in range(d_max + 1))
+    return [(total, math.sqrt(b**d)) for d, total in enumerate(totals)]
 
 
-def account_oracle_calls(report: SearchReport, b: int) -> CallAccounting:
-    """Cumulative oracle calls versus the 4 * sqrt(b**d_final) budget."""
+def within_call_budget(total_calls: int, b: int, d: int) -> bool:
+    """The budget the paper counts its speedup in: total_calls <= 4 * sqrt(b**d)."""
+    return total_calls <= 4 * math.sqrt(b**d)
+
+
+def report_within_call_budget(report: SearchReport, b: int) -> bool:
+    """Whether a report's oracle calls keep the budget at its final depth."""
     if not report.per_depth:
         raise InputError("report has no per-depth records to account")
-    d_final = report.per_depth[-1].depth
     total = sum(rec.oracle_calls for rec in report.per_depth)
     if total != report.total_oracle_calls:
         raise InputError("report total_oracle_calls disagrees with its per-depth rows")
-    bound = math.ceil(4 * math.sqrt(b**d_final))
-    return CallAccounting(total, d_final, b, bound, total <= bound)
-
-
-def oracle_call_schedule(b: int, d_final: int, policy: str = "optimal",
-                         k: int = 1) -> list[int]:
-    """Per-depth iterate counts 0..d_final assuming k marks at every level."""
-    if b < 1 or d_final < 0:
-        raise InputError("need b >= 1 and d_final >= 0")
-    return [iterate_count(b**d, k, policy) for d in range(d_final + 1)]
+    return within_call_budget(total, b, report.per_depth[-1].depth)
 
 
 def report_to_dict(report: SearchReport, include_volatile: bool = True) -> dict:

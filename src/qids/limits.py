@@ -9,8 +9,9 @@ environment variable.
 from __future__ import annotations
 
 import os
+import sys
 
-from .errors import SizeLimit
+from .errors import InputError, SizeLimit
 
 DEFAULT_SIM_CAP = 2**22
 
@@ -36,3 +37,10 @@ def check_size(count: int, what: str) -> None:
     cap = sim_cap()
     if count > cap:
         raise SizeLimit(f"{what} needs {count} entries, over the cap of {cap}")
+
+
+def check_float_range(b: int, d: int) -> None:
+    """Raise InputError if b**d, for b >= 1, is beyond floating-point range."""
+    # 2**1024 exceeds the largest float, so the clamped power settles any d
+    if b >= 1 and b ** min(d, 1024) > sys.float_info.max:
+        raise InputError(f"b**d = {b}**{d} is beyond floating-point range")

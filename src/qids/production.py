@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AlphabetMismatch, InputError, MemoryOverflow
+from .errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
 from .jsonfields import check_object, read_field, read_list_of
 from .limits import check_size, sim_cap
 
@@ -256,6 +256,15 @@ def index_to_sequence(value: int, b: int, d: int) -> RuleSequence:
     return tuple(reversed(digits))
 
 
+MAX_WALK_DEPTH = 500  # well inside Python's default recursion limit of 1000 frames
+
+
+def check_walk_depth(depth: int) -> None:
+    """Refuse a depth past MAX_WALK_DEPTH before a walk that recurses once per level."""
+    if depth > MAX_WALK_DEPTH:
+        raise SizeLimit(f"depth {depth} is past the walk-depth bound of {MAX_WALK_DEPTH}")
+
+
 def _byte_bounded_cache(walk):
     """Memoise `walk(system, start, d)` on bitmaps of at most `sim_cap()` bytes in all.
 
@@ -346,6 +355,7 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
     """
     if depth_cap < 0:
         raise InputError("depth_cap must be >= 0")
+    check_walk_depth(depth_cap)
     system.alphabet.check_string(start, "start state")
     pairs = [(rule.precondition, rule.action) for rule in system.rules]
     exact = system.rule_match == "exact"

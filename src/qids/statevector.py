@@ -29,7 +29,6 @@ from .errors import InputError, NormDrift, ZeroProbability
 from .limits import check_size
 from .production import ProductionSystem, deterministic_trace
 
-NORM_TOL = 1e-10
 MEASURE_NORM_TOL = 1e-6
 PROJECT_FLOOR = 1e-12
 

@@ -17,7 +17,6 @@ empirical frequency bound has margin.
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -25,8 +24,8 @@ from functools import cache
 
 import numpy as np
 
-from .driver import (QidConfig, account_oracle_calls, oracle_call_schedule,
-                     quantum_iterative_deepening)
+from .driver import (QidConfig, cumulative_calls, quantum_iterative_deepening,
+                     report_within_call_budget, within_call_budget)
 from .errors import QidsError
 from .grover import (amplified_probabilities, amplified_state, grover_iterate,
                      literal_iterations, optimal_iterations,
@@ -304,7 +303,7 @@ def check_search_vs_classical(trials: int = ACCEPTANCE_TRIALS) -> CheckResult:
             cfg = QidConfig(seed=RUN_SEED_BASE + 1000 * i + t,
                             depth_cap=entry.d_star + 3)
             report = quantum_iterative_deepening(system, start, cfg)
-            if not account_oracle_calls(report, system.branching_factor).within_bound:
+            if not report_within_call_budget(report, system.branching_factor):
                 problems.append(f"system {i} seed {cfg.seed}: oracle calls over budget")
             if report.found:
                 if report.d_star != entry.d_star:
@@ -327,17 +326,10 @@ def check_search_vs_classical(trials: int = ACCEPTANCE_TRIALS) -> CheckResult:
 def check_call_budget() -> CheckResult:
     """Cumulative optimal-policy oracle calls stay within 4*sqrt(b**d)."""
     t0 = time.perf_counter()
-    worst_ratio = 0.0
-    ok = True
-    for b, d_max in ((2, 14), (3, 9)):
-        schedule = oracle_call_schedule(b, d_max, policy="optimal", k=1)
-        total = 0
-        for d in range(d_max + 1):
-            total += schedule[d]
-            ratio = total / math.sqrt(b**d)
-            worst_ratio = max(worst_ratio, ratio)
-            if total > 4 * math.sqrt(b**d):
-                ok = False
+    rows = [(b, d, total, root) for b, d_max in ((2, 14), (3, 9))
+            for d, (total, root) in enumerate(cumulative_calls(b, d_max))]
+    worst_ratio = max(total / root for _, _, total, root in rows)
+    ok = all(within_call_budget(total, b, d) for b, d, total, _ in rows)
     elapsed = time.perf_counter() - t0
     passed = ok and elapsed < 60.0
     return _result("cumulative-call-budget", t0, passed,

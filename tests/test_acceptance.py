@@ -50,7 +50,8 @@ def test_criterion_3_search_vs_classical():
 
 
 def test_criterion_4_call_budget():
-    # cumulative calls <= 4*sqrt(b**d) for b=2 d<=14 and b=3 d<=9, under 60 s
+    # driver.cumulative_calls keeps driver.within_call_budget (total <= 4*sqrt(b**d))
+    # for b=2 d<=14 and b=3 d<=9, under 60 s
     result = check_call_budget()
     _gate(result)
     assert result.duration_s < 60.0

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qids.cli import main
 from qids.production import load_system
@@ -121,6 +123,22 @@ def test_run_depth_cap_far_over_the_sim_cap_exits_1(capsys):
     assert err.startswith("error:")
 
 
+ONE_RULE_SYSTEM = {"alphabet": ["a", "b"], "rules": [{"pre": "a", "post": "a"}],
+                   "initial": ["a"], "goals": ["b"]}
+
+
+@pytest.mark.parametrize("extra", [(), ("--classical",)])
+def test_run_depth_cap_past_the_walk_depth_bound_exits_1(capsys, tmp_path, extra):
+    # one rule keeps b**d at 1, so the sim cap allows any depth; the recursive
+    # walks would overflow Python's stack at this one
+    path = tmp_path / "one_rule.json"
+    path.write_text(json.dumps(ONE_RULE_SYSTEM))
+    code, _, err = run_cli(capsys, "run", str(path), "--seed", "1", "--depth-cap", "3000",
+                           *extra)
+    assert code == 1
+    assert err.startswith("error:") and "walk-depth bound" in err
+
+
 def test_run_byte_identical_without_timestamp(capsys):
     _, first, _ = run_cli(capsys, "run", TREE, "--seed", "7", "--depth-cap", "5",
                           "--no-timestamp")
@@ -193,6 +211,12 @@ def test_demo_flaw_straddling_halts(capsys, tmp_path):
     assert payload["projection_support"]["0"] == [2, 3]
 
 
+def test_halt_timing_demo_file_matches_the_gate_system():
+    # the gate builds its own copy so that it reads no repository file
+    from qids.verify import halt_timing_system
+    assert load_system(HALT_DEMO) == halt_timing_system()
+
+
 def test_demo_flaw_all_halting(capsys):
     code, out, _ = run_cli(capsys, "demo-flaw", HALT_DEMO, "-d", "6",
                            "--step-cap", "8", "--seed", "5")
@@ -259,6 +283,24 @@ def test_bench_b3(capsys):
     assert all(float(r[4]) <= 4.0 for r in rows)
 
 
+def test_bench_prints_every_row(capsys):
+    # b**d past the sim cap is no reason to drop a row: the table allocates nothing
+    code, out, _ = run_cli(capsys, "bench", "--seed", "0", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["b"], r["d"]) for r in rows] == [(b, d) for b in (2, 3) for d in range(15)]
+    assert rows[-1] == {"b": 3, "d": 14, "total_calls": 4056, "sqrt_bd": 2187.0,
+                        "ratio": 4056 / 2187, "within_bound": True}
+
+
+@pytest.mark.parametrize("argv", [("--depth-max", "1100"),
+                                  ("--branching", "10000", "--depth-max", "80")])
+def test_bench_beyond_float_range_exits_1(capsys, argv):
+    code, _, err = run_cli(capsys, "bench", "--seed", "1", *argv)
+    assert code == 1
+    assert err.startswith("error:") and "floating-point range" in err
+
+
 # --- verify -------------------------------------------------------------------------
 
 def test_verify_subset_passes(capsys):
@@ -296,6 +338,91 @@ def test_verify_injected_fault_fails_every_dense_check_and_runs_all_nine(capsys)
 def test_verify_unknown_check_errors(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "no-such-check")
     assert code == 1
+
+
+# --- fuzz ---------------------------------------------------------------------------
+
+_WORDS = st.text("abE", max_size=3)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _WORDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_WORDS, inner, max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def _system_dicts(draw):
+    """Small system definitions, one-rule systems included; a quarter have one
+    field replaced by an arbitrary JSON value."""
+    data = {
+        "alphabet": ["a", "b", "E"],
+        "rules": draw(st.lists(st.fixed_dictionaries(
+            {"pre": st.text("abE", min_size=1, max_size=2), "post": _WORDS}),
+            min_size=1, max_size=3)),
+        "initial": [draw(st.text("abE", min_size=1, max_size=3))],
+        "goals": draw(st.lists(_WORDS, min_size=1, max_size=2, unique=True)),
+        "max_memory_len": draw(st.integers(1, 8)),
+        "rule_match": draw(st.sampled_from(["substring", "exact"])),
+    }
+    if draw(st.integers(0, 3)) == 0:
+        data[draw(st.sampled_from(sorted(data)))] = draw(_JSON_VALUES)
+    return data
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+# Depth caps stay small, or lie past a bound that refuses them before any walk;
+# the classical search always gets one, since its default of 12 takes seconds at b=3.
+_DEPTH_CAPS = st.integers(-1, 6) | st.sampled_from([501, 10**6])
+
+
+@st.composite
+def _run_argv(draw):
+    classical = draw(st.booleans())
+    argv = ["run", "{system}", "--seed", str(draw(st.integers(-1, 50))), "--no-timestamp"]
+    if classical:
+        argv += ["--classical", "--depth-cap", str(draw(_DEPTH_CAPS))]
+    else:
+        argv += draw(_flag("--depth-cap", _DEPTH_CAPS))
+    argv += draw(_flag("--counting-mode", st.sampled_from(["exact", "assume-one", "some"])))
+    argv += draw(_flag("--iterate-policy", st.sampled_from(["optimal", "faithful"])))
+    argv += draw(st.sampled_from([[], ["--run-empty-depths"]]))
+    return argv
+
+
+_BRANCHING = (st.lists(st.integers(-1, 6) | st.just(10**4), max_size=3)
+              .map(lambda bs: ",".join(map(str, bs)))
+              | st.sampled_from(["x", "2,,3", " 3", "2.5"]))
+
+_BENCH_ARGV = st.tuples(
+    st.just(["bench", "--seed", "0"]),
+    _flag("--branching", _BRANCHING),
+    _flag("--depth-max", st.integers(-2, 20) | st.sampled_from([80, 1100])),
+    _flag("--iterate-policy", st.sampled_from(["optimal", "faithful"])),
+    _flag("--format", st.sampled_from(["csv", "json", "xml"])),
+).map(lambda parts: sum(parts, []))
+
+_PREDICT_ARGV = st.tuples(
+    st.integers(-1, 6) | st.just(10),
+    st.integers(-1, 12) | st.sampled_from([400, 10**6]),
+    st.integers(-1, 10) | st.just(10**6),
+    _flag("--format", st.sampled_from(["csv", "json"])),
+).map(lambda t: ["predict", str(t[0]), str(t[1]), str(t[2]), *t[3]])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(system=_system_dicts(), argv=_run_argv() | _BENCH_ARGV | _PREDICT_ARGV,
+       sim_cap=st.sampled_from(["64", "4096", "0", "many"]))
+def test_cli_fuzz_never_raises(capsys, monkeypatch, tmp_path, system, argv, sim_cap):
+    monkeypatch.setenv("QIDS_SIM_CAP", sim_cap)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    code, _, err = run_cli(capsys, *(str(path) if a == "{system}" else a for a in argv))
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith(("error:", "usage:"))
 
 
 # --- start-up -------------------------------------------------------------------------

@@ -1,22 +1,18 @@
 """The deepening search loop, its accounting, and reports."""
 
+import itertools
 import math
 
 import pytest
 
 from conftest import make_system
-from qids.driver import (QidConfig, account_oracle_calls, depth_rng,
-                         oracle_call_schedule, quantum_iterative_deepening,
-                         report_from_dict, report_from_json, report_to_dict,
-                         report_to_json)
+from qids.driver import (QidConfig, cumulative_calls, depth_rng,
+                         quantum_iterative_deepening, report_from_dict,
+                         report_from_json, report_to_dict, report_to_json,
+                         report_within_call_budget, within_call_budget)
 from qids.errors import InputError, SizeLimit
 from qids.grover import optimal_iterations, predicted_success_exact
-from qids.production import execute_sequence, tree_system
-
-
-@pytest.fixture
-def fig_tree():
-    return tree_system(3)
+from qids.production import MAX_WALK_DEPTH, execute_sequence
 
 
 def run(system, start, seed, **kwargs):
@@ -114,19 +110,36 @@ def test_witness_prefix_is_minimal_even_on_late_success(fig_tree):
         pytest.fail(f"no miss in 400 runs at soak probability {predicted:.3f}")
 
 
+def test_depth_cap_past_the_walk_depth_bound_is_refused():
+    # one rule keeps b**d at 1, so only the walk's recursion depth limits the cap
+    system = make_system([("A", "A")], start="A", goals=("B",))
+    with pytest.raises(SizeLimit, match="walk-depth bound"):
+        run(system, "A", seed=1, depth_cap=MAX_WALK_DEPTH + 1)
+    report = run(system, "A", seed=1, depth_cap=MAX_WALK_DEPTH)
+    assert not report.found and len(report.per_depth) == MAX_WALK_DEPTH + 1
+
+
 def test_account_oracle_calls_on_reports(fig_tree):
     report = run(fig_tree, "E", seed=42)
-    accounting = account_oracle_calls(report, b=2)
-    assert accounting.total_calls == report.total_oracle_calls
-    assert accounting.final_depth == 3
-    assert accounting.bound == math.ceil(4 * math.sqrt(8))
-    assert accounting.within_bound
+    assert report.per_depth[-1].depth == 3
+    assert report_within_call_budget(report, b=2)
+    # 4 * sqrt(2**3) = 11.31 and the rule is strict: 12 calls at d=3 are over budget
+    assert within_call_budget(11, 2, 3) and not within_call_budget(12, 2, 3)
 
 
 def test_account_depth_zero_run():
     system = make_system([("A", "B")], start="A", goals=("A",))
-    accounting = account_oracle_calls(run(system, "A", seed=1), b=1)
-    assert accounting.total_calls == 0 and accounting.bound == 4
+    report = run(system, "A", seed=1)
+    assert report.total_oracle_calls == 0
+    assert report_within_call_budget(report, b=1)
+    assert within_call_budget(4, 1, 0) and not within_call_budget(5, 1, 0)
+
+
+def test_call_budget_rejects_total_that_disagrees_with_rows(fig_tree):
+    report = run(fig_tree, "E", seed=42)
+    report.total_oracle_calls += 1
+    with pytest.raises(InputError, match="disagrees"):
+        report_within_call_budget(report, b=2)
 
 
 def test_success_rate_at_first_marked_depth(fig_tree):
@@ -138,19 +151,21 @@ def test_success_rate_at_first_marked_depth(fig_tree):
 
 
 def test_schedule_b2_depths_0_to_10():
-    schedule = oracle_call_schedule(2, 10)
-    assert schedule == [math.floor(math.pi / 4 * math.sqrt(2**d)) for d in range(11)]
-    assert sum(schedule) == 79
-    assert sum(schedule) <= 4 * math.sqrt(2**10)
+    rows = cumulative_calls(2, 10)
+    per_depth = [math.floor(math.pi / 4 * math.sqrt(2**d)) for d in range(11)]
+    assert [total for total, _ in rows] == list(itertools.accumulate(per_depth))
+    assert [root for _, root in rows] == [math.sqrt(2**d) for d in range(11)]
+    assert rows[-1][0] == 79
+    assert rows[-1][0] <= 4 * math.sqrt(2**10)
 
 
 def test_schedule_depth_zero():
-    assert oracle_call_schedule(2, 0) == [0]
+    assert cumulative_calls(2, 0) == [(0, 1.0)]
 
 
 def test_schedule_b3_ratio():
-    total = sum(oracle_call_schedule(3, 9))
-    assert total / math.sqrt(3**9) <= 4
+    total, root = cumulative_calls(3, 9)[-1]
+    assert total / root <= 4
 
 
 def test_search_on_nondeterministic_compiled_machine():

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_paths, make_system, random_system, sequence_to_index
-from qids.errors import AlphabetMismatch, InputError, MemoryOverflow
-from qids.production import (Alphabet, Rule, apply_rule, classical_ids,
+from qids.errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
+from qids.production import (MAX_WALK_DEPTH, Alphabet, Rule, apply_rule, classical_ids,
                              deterministic_trace, execute_sequence,
                              halting_predicate, index_to_sequence, load_system,
                              marked_vector, save_system, system_from_dict,
@@ -317,6 +317,14 @@ def test_ids_unreachable_goal():
     system = make_system([("A", "B")], start="A", goals=("C",))
     result = classical_ids(system, "A", 4)
     assert not result.found and result.d_star is None and result.witness is None
+
+
+def test_ids_depth_cap_past_the_walk_depth_bound_is_refused():
+    system = make_system([("A", "A")], start="A", goals=("B",))
+    with pytest.raises(SizeLimit, match="walk-depth bound"):
+        classical_ids(system, "A", MAX_WALK_DEPTH + 1)
+    result = classical_ids(system, "A", MAX_WALK_DEPTH)
+    assert not result.found and result.nodes_expanded > 0
 
 
 @pytest.mark.parametrize("trial", range(20))
