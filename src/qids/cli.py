@@ -23,6 +23,7 @@ from .driver import (QidConfig, cumulative_calls, quantum_iterative_deepening,
 from .errors import InputError, QidsError
 from .grover import (optimal_iterations, predicted_success_asymptotic,
                      predicted_success_exact, simulated_success)
+from .jsonfields import save_json_file
 from .limits import check_float_range, sim_cap
 from .production import classical_ids, execute_sequence, load_system, save_system
 from .statevector import halt_timing_demo, measure
@@ -155,7 +156,9 @@ def _cmd_demo_flaw(args) -> int:
     system = load_system(args.system)
     report = halt_timing_demo(system, args.depth, step_cap=args.step_cap)
     rng = np.random.default_rng(args.seed)
-    outcome = measure(report.pre_measurement, rng)
+    sampled_input, sampled_halt = measure(report.pre_measurement, rng)
+    support = {k: (None if proj is None else np.flatnonzero(proj[:, k]).tolist())
+               for k, proj in ((0, report.projected_continue), (1, report.projected_halt))}
 
     print(f"evolved {len(report.inputs)} inputs for {report.depth} steps")
     for memory, steps, halted, final in report.branch_table:
@@ -164,15 +167,14 @@ def _cmd_demo_flaw(args) -> int:
               f"halt bit now {halted}; memory {final!r}")
     print(f"P(halt bit = 0) = {report.p_continue!r}")
     print(f"P(halt bit = 1) = {report.p_halt!r}")
-    print(f"seeded sample of the full register: input {outcome.s_index} "
-          f"with halt bit {outcome.h}")
-    for k, proj in ((0, report.projected_continue), (1, report.projected_halt)):
-        if proj is None:
+    print(f"seeded sample of the full register: input {sampled_input} "
+          f"with halt bit {sampled_halt}")
+    for k, kept in support.items():
+        if kept is None:
             print(f"projection onto halt={k}: zero probability, undefined")
             continue
-        kept = [report.inputs[i] for i in range(len(report.inputs))
-                if abs(proj.grid()[i, 0, k]) > 0]
-        print(f"projection onto halt={k}: unit-norm state over inputs {kept}")
+        print(f"projection onto halt={k}: unit-norm state over inputs "
+              f"{[report.inputs[i] for i in kept]}")
 
     payload = {
         "schema": "qids.halt-demo/1",
@@ -182,20 +184,14 @@ def _cmd_demo_flaw(args) -> int:
         "steps_to_halt": report.steps_to_halt,
         "p_continue": report.p_continue,
         "p_halt": report.p_halt,
-        "sampled_input": outcome.s_index,
-        "sampled_halt_bit": outcome.h,
-        "projection_support": {
-            str(k): ([i for i in range(len(report.inputs))
-                      if abs(proj.grid()[i, 0, k]) > 0] if proj is not None else None)
-            for k, proj in ((0, report.projected_continue), (1, report.projected_halt))
-        },
+        "sampled_input": sampled_input,
+        "sampled_halt_bit": sampled_halt,
+        "projection_support": {str(k): kept for k, kept in support.items()},
     }
     if not args.no_timestamp:
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        save_json_file(payload, args.output)
     return EXIT_OK
 
 
@@ -212,7 +208,7 @@ def _cmd_predict(args) -> int:
         asym_col = f"{predicted_success_asymptotic(b, d, k):.6f}"
         exact_col = predicted_success_exact(n, k, m)
     if 2 * n <= sim_cap():
-        sim_col = f"{simulated_success(b, d, np.arange(n) < k, m):.6f}"
+        sim_col = f"{simulated_success(np.arange(n) < k, m):.6f}"
     else:
         sim_col = "over-cap"
     if args.format == "json":

@@ -12,7 +12,8 @@ gives the exact marked mass after m iterates from a uniform start.
 
 The search driver samples from `amplified_probabilities`, the closed form
 of the whole probability vector; the dense iterate below is the reference
-that the verification suite checks it against.
+that the verification suite checks it against. It acts on `statevector`
+arrays of shape (N, 2), one row per sequence, and takes N from len(marks).
 """
 
 from __future__ import annotations
@@ -23,39 +24,29 @@ import numpy as np
 
 from .errors import InputError, KZero
 from .limits import check_size
-from .statevector import QuantumState, prepare_halt_minus, uniform_superposition
+from .statevector import prepare_halt_minus, uniform_superposition
 
 
-def apply_oracle(state: QuantumState, marks: np.ndarray) -> QuantumState:
-    """XOR the mark bitmap into the halt bit: swap h-slices on marked sequences."""
-    if state.num_s != 1:
-        raise InputError("the oracle acts on a fixed initial state (num_s == 1)")
+def apply_oracle(state: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """XOR the mark bitmap into the halt bit: swap the halt-bit pair of each marked sequence."""
     # a 0/1 integer array would index positions instead of masking them
     marks = np.asarray(marks, dtype=bool)
-    if len(marks) != state.n_paths:
-        raise InputError(
-            f"oracle domain {len(marks)} != sequence register size {state.n_paths}"
-        )
+    if len(marks) != len(state):
+        raise InputError(f"oracle domain {len(marks)} != sequence register size {len(state)}")
     out = state.copy()
-    g = out.grid()
-    g[0, marks, 0], g[0, marks, 1] = g[0, marks, 1].copy(), g[0, marks, 0].copy()
+    out[marks] = state[marks, ::-1]
     return out
 
 
-def apply_diffusion(state: QuantumState, coeff: float = 2.0) -> QuantumState:
+def apply_diffusion(state: np.ndarray, coeff: float = 2.0) -> np.ndarray:
     """Map each halt-bit slice x to coeff * mean(x) - x; 2.0 reflects about the mean."""
-    if state.num_s != 1:
-        raise InputError("diffusion acts on a fixed initial state (num_s == 1)")
-    out = state.copy()
-    g = out.grid()
+    out = np.empty_like(state)
     for h in (0, 1):
-        mean = g[0, :, h].mean()
-        g[0, :, h] = coeff * mean - g[0, :, h]
+        out[:, h] = coeff * state[:, h].mean() - state[:, h]
     return out
 
 
-def grover_iterate(state: QuantumState, marks: np.ndarray,
-                   coeff: float = 2.0) -> QuantumState:
+def grover_iterate(state: np.ndarray, marks: np.ndarray, coeff: float = 2.0) -> np.ndarray:
     return apply_diffusion(apply_oracle(state, marks), coeff)
 
 
@@ -99,16 +90,14 @@ def predicted_success_asymptotic(b: int, d: int, k: int) -> float:
     return math.sin(theta / 2 * (math.pi / 2 * math.sqrt(n_paths / k) + 1)) ** 2
 
 
-def marked_mass(state: QuantumState, marks: np.ndarray) -> float:
+def marked_mass(state: np.ndarray, marks: np.ndarray) -> float:
     """Total probability carried by marked sequences (both halt-bit values)."""
-    g = state.grid()
-    return float(np.sum(np.abs(g[0, np.asarray(marks, dtype=bool), :]) ** 2))
+    return float(np.sum(np.abs(state[np.asarray(marks, dtype=bool)]) ** 2))
 
 
-def amplified_state(b: int, d: int, marks: np.ndarray, m: int,
-                    coeff: float = 2.0) -> QuantumState:
-    """Uniform start, halt bit in the minus state, m search iterates."""
-    state = prepare_halt_minus(uniform_superposition(b, d))
+def amplified_state(marks: np.ndarray, m: int, coeff: float = 2.0) -> np.ndarray:
+    """Uniform start over the len(marks) sequences, halt bit in the minus state, m iterates."""
+    state = prepare_halt_minus(uniform_superposition(len(marks)))
     for _ in range(m):
         state = grover_iterate(state, marks, coeff)
     return state
@@ -136,7 +125,6 @@ def amplified_probabilities(marks: np.ndarray, k: int, m: int) -> np.ndarray:
     return np.repeat(np.where(marks, p_marked, p_unmarked), 2)
 
 
-def simulated_success(b: int, d: int, marks: np.ndarray, m: int,
-                      coeff: float = 2.0) -> float:
+def simulated_success(marks: np.ndarray, m: int, coeff: float = 2.0) -> float:
     """Marked mass measured off an exact statevector run of m iterates."""
-    return marked_mass(amplified_state(b, d, marks, m, coeff), marks)
+    return marked_mass(amplified_state(marks, m, coeff), marks)

@@ -1,12 +1,16 @@
-"""Strict typed readers for the fields of parsed JSON objects.
+"""Strict typed readers for the fields of parsed JSON objects, and JSON files.
 
 System, machine and report files are read through these, so that a field
 of the wrong JSON type ends as an InputError naming the field instead of
 a Python exception from a conversion, or a silent misparse such as a
-string read as a list of its characters.
+string read as a list of its characters. `load_json_file` and
+`save_json_file` are the one reader and writer of system and machine files.
 """
 
 from __future__ import annotations
+
+import json
+from typing import Callable
 
 from .errors import InputError
 
@@ -66,3 +70,24 @@ def check_object(data, allowed: set[str], owner: str) -> dict:
     if unknown:
         raise InputError(f"{owner} has unknown field(s): {', '.join(sorted(unknown))}")
     return data
+
+
+def load_json_file(path, from_dict: Callable[[dict], object]):
+    """`from_dict` of the JSON in the file at `path`; every InputError names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
+                             f"{exc.msg}") from None
+    try:
+        return from_dict(data)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def save_json_file(data: dict, path) -> None:
+    """Write `data` to `path` as two-space-indented JSON with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")

@@ -2,7 +2,9 @@
 
 Dense amplitude storage means memory scales linearly with the number of
 basis states, so the marking walk's bitmap, the search's probability vector
-and statevector allocation all refuse to grow past a cap. The default (2**22) can be overridden with the QIDS_SIM_CAP
+and statevector allocation all refuse to grow past a cap. The same cap
+bounds classical iterative deepening's node expansions and the halt demo's
+step trace. The default (2**22) can be overridden with the QIDS_SIM_CAP
 environment variable.
 """
 

@@ -20,7 +20,6 @@ rejected.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -28,7 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
-from .jsonfields import check_object, read_field, read_list_of
+from .jsonfields import (check_object, load_json_file, read_field, read_list_of,
+                         save_json_file)
 from .limits import check_size, sim_cap
 
 RULE_MATCH_MODES = ("substring", "exact")
@@ -352,6 +352,8 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
     Returns the minimal depth d* at which a goal state occurs, one witness
     sequence of that length, and the total number of node expansions across
     all deepening rounds. found=False when no goal exists within depth_cap.
+    The expansions are held to `sim_cap()`, the most leaves the marking
+    walk's bitmap may have; past that the search raises SizeLimit.
     """
     if depth_cap < 0:
         raise InputError("depth_cap must be >= 0")
@@ -361,6 +363,7 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
     exact = system.rule_match == "exact"
     max_len = system.max_memory_len
     is_goal = _goal_test(system)
+    budget = sim_cap()
     expanded = 0
 
     def dls(memory: str, path: list[int], limit: int) -> RuleSequence | None:
@@ -370,6 +373,8 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
         if len(path) == limit:
             return None
         expanded += 1
+        if expanded > budget:
+            raise SizeLimit(f"classical search would expand more than the cap of {budget} nodes")
         for i, (pre, post) in enumerate(pairs):
             nxt = _rewrite(memory, pre, post, exact)
             if nxt is None or len(nxt) > max_len:
@@ -470,22 +475,11 @@ def system_to_dict(system: ProductionSystem) -> dict:
 
 def load_system(path) -> ProductionSystem:
     """Load a system definition file; parse errors carry line/column info."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-                             f"{exc.msg}") from None
-    try:
-        return system_from_dict(data)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return load_json_file(path, system_from_dict)
 
 
 def save_system(system: ProductionSystem, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_dict(system), fh, indent=2)
-        fh.write("\n")
+    save_json_file(system_to_dict(system), path)
 
 
 def tree_system(depth: int, goal_word: str = "aba") -> ProductionSystem:

@@ -1,22 +1,22 @@
-"""Dense complex statevector engine over the register |s>|p>|h>.
+"""Dense complex statevector engine over a label register and a halt bit.
 
-Basis states are triples (s, p, h): an initial-state label, a base-b encoded
-rule sequence of length d, and a one-bit halt flag. The flat layout keeps h
-least significant,
+A state is a C-contiguous complex128 array of shape (labels, 2): row i
+holds label i's amplitudes with the halt bit h = 0 and h = 1. The labels
+are the b**d rule sequences of the search register, or the inputs of the
+halt-observation demo. Its ravel() is the flat layout
 
-    flat = (s * b**d + p) * 2 + h,
+    flat = label * 2 + h,
 
-so halt projections and halt-conditional swaps are cheap slices. Amplitudes
-live in one contiguous complex128 vector; operations are pure functions
-returning fresh states.
+with h least significant, which is the layout of
+`grover.amplified_probabilities`. Operations are pure functions returning
+fresh arrays; callers read `state[:, h]` for a halt-bit slice,
+`np.linalg.norm(state)` for the norm and `np.abs(state.ravel()) ** 2` for
+the Born probabilities.
 
-Two usage modes share the engine: amplified search keeps s fixed
-(num_s = 1, amplitudes over sequences and the halt bit), while the
-halt-observation demo superposes the initial states with a trivial sequence
-register (b**d = 1). The search driver does not simulate amplification: it
-draws from the closed-form probabilities with `sample_index`, the sampler
-that `measure` also uses, and the dense amplified state is the reference the
-verification suite checks that vector against.
+The search driver does not simulate amplification: it draws from the
+closed-form probabilities with `sample_index`, the sampler that `measure`
+also uses, and the dense amplified state is the reference the verification
+suite checks that vector against.
 """
 
 from __future__ import annotations
@@ -33,93 +33,23 @@ MEASURE_NORM_TOL = 1e-6
 PROJECT_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """One computational basis label (s, p, h)."""
-
-    s_index: int
-    p_index: int
-    h: int
-
-    def to_flat(self, num_s: int, b: int, d: int) -> int:
-        n = b**d
-        if not (0 <= self.s_index < num_s and 0 <= self.p_index < n and self.h in (0, 1)):
-            raise InputError(f"basis label {self} out of range for dims ({num_s}, {b}, {d})")
-        return (self.s_index * n + self.p_index) * 2 + self.h
-
-    @classmethod
-    def from_flat(cls, flat: int, num_s: int, b: int, d: int) -> "BasisIndex":
-        n = b**d
-        if not 0 <= flat < num_s * n * 2:
-            raise InputError(f"flat index {flat} out of range for dims ({num_s}, {b}, {d})")
-        work, h = divmod(flat, 2)
-        s, p = divmod(work, n)
-        return cls(s, p, h)
-
-
-@dataclass
-class QuantumState:
-    """Unit-norm amplitude vector with its register geometry."""
-
-    amps: np.ndarray
-    num_s: int
-    b: int
-    d: int
-
-    def __post_init__(self):
-        expected = self.dimension
-        if self.amps.shape != (expected,):
-            raise InputError(f"amplitude vector has shape {self.amps.shape}, expected ({expected},)")
-        if self.amps.dtype != np.complex128:
-            self.amps = self.amps.astype(np.complex128)
-
-    @property
-    def n_paths(self) -> int:
-        return self.b**self.d
-
-    @property
-    def dimension(self) -> int:
-        return self.num_s * self.b**self.d * 2
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.amps.copy(), self.num_s, self.b, self.d)
-
-    def grid(self) -> np.ndarray:
-        """View shaped (num_s, n_paths, 2); shares the buffer."""
-        return self.amps.reshape(self.num_s, self.n_paths, 2)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-
-def _allocate(num_s: int, b: int, d: int) -> QuantumState:
-    if num_s < 1 or b < 1 or d < 0:
-        raise InputError(f"bad register dims ({num_s}, {b}, {d})")
-    dim = num_s * b**d * 2
-    check_size(dim, f"statevector of dims ({num_s}, {b}, {d})")
-    return QuantumState(np.zeros(dim, dtype=np.complex128), num_s, b, d)
-
-
-def uniform_superposition(b: int, d: int) -> QuantumState:
-    """Equal weight 1/sqrt(b**d) on every sequence, s fixed, halt bit |0>."""
-    state = _allocate(1, b, d)
-    n = state.n_paths
-    state.grid()[0, :, 0] = 1.0 / np.sqrt(n)
+def uniform_superposition(labels: int) -> np.ndarray:
+    """Equal weight 1/sqrt(labels) on every label, halt bit |0>."""
+    if labels < 1:
+        raise InputError(f"a register needs at least one label, got {labels}")
+    check_size(2 * labels, f"statevector over {labels} labels")
+    state = np.zeros((labels, 2), dtype=np.complex128)
+    state[:, 0] = 1.0 / np.sqrt(labels)
     return state
 
 
-def prepare_halt_minus(state: QuantumState) -> QuantumState:
+def prepare_halt_minus(state: np.ndarray) -> np.ndarray:
     """Tensor the halt register into (|0> - |1>)/sqrt(2)."""
-    grid = state.grid()
-    if np.any(np.abs(grid[:, :, 1]) > 0):
+    if np.any(np.abs(state[:, 1]) > 0):
         raise InputError("halt register must be |0> before preparing the minus state")
     out = state.copy()
-    g = out.grid()
-    g[:, :, 1] = -g[:, :, 0] / np.sqrt(2)
-    g[:, :, 0] /= np.sqrt(2)
+    out[:, 1] = -out[:, 0] / np.sqrt(2)
+    out[:, 0] /= np.sqrt(2)
     return out
 
 
@@ -135,24 +65,21 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(rng.choice(len(probs), p=probs / total))
 
 
-def measure(state: QuantumState, rng: np.random.Generator) -> BasisIndex:
-    """Sample one basis outcome of the whole register by the Born rule."""
-    flat = sample_index(state.probabilities(), rng)
-    return BasisIndex.from_flat(flat, state.num_s, state.b, state.d)
+def measure(state: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
+    """Sample one basis outcome (label, h) of the whole register by the Born rule."""
+    return divmod(sample_index(np.abs(state.ravel()) ** 2, rng), 2)
 
 
-def project_halt(state: QuantumState, k: int) -> tuple[float, QuantumState]:
+def project_halt(state: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     """Project onto halt-bit outcome k and renormalise; returns (P(k), state)."""
     if k not in (0, 1):
         raise InputError("halt outcome must be 0 or 1")
-    grid = state.grid()
-    p_k = float(np.sum(np.abs(grid[:, :, k]) ** 2))
+    p_k = float(np.sum(np.abs(state[:, k]) ** 2))
     if p_k < PROJECT_FLOOR:
         raise ZeroProbability(f"halt outcome {k} has probability {p_k:.3e}")
     out = state.copy()
-    g = out.grid()
-    g[:, :, 1 - k] = 0.0
-    g[:, :, k] /= np.sqrt(p_k)
+    out[:, 1 - k] = 0.0
+    out[:, k] /= np.sqrt(p_k)
     return p_k, out
 
 
@@ -162,19 +89,19 @@ class HaltTimingReport:
 
     `steps_to_halt[i]` is input i's halting time under the deterministic
     first-applicable-rule control, or None if it does not halt within the
-    evolved depth. `branch_table` pairs each input string with (steps, halt
-    bit after d steps, final memory).
+    traced steps. `branch_table` pairs each input string with (steps, halt
+    bit after d steps, final memory). The states are over the inputs.
     """
 
     inputs: tuple[str, ...]
     depth: int
     steps_to_halt: list[int | None]
     branch_table: list[tuple[str, int | None, int, str]]
-    pre_measurement: QuantumState
+    pre_measurement: np.ndarray
     p_continue: float
     p_halt: float
-    projected_continue: QuantumState | None
-    projected_halt: QuantumState | None
+    projected_continue: np.ndarray | None
+    projected_halt: np.ndarray | None
 
 
 def halt_timing_demo(system: ProductionSystem, d: int, step_cap: int | None = None) -> HaltTimingReport:
@@ -185,26 +112,24 @@ def halt_timing_demo(system: ProductionSystem, d: int, step_cap: int | None = No
     After d steps the halt bit is entangled with the input label whenever
     halting times straddle d, and projecting on either halt outcome strands
     the other branch - the reason periodic halt-bit observation is unsafe.
+    The trace keeps every memory, so its max(d, step_cap) steps are held to
+    the simulation cap.
     """
     if d < 0:
         raise InputError("evolution depth must be >= 0")
     inputs = system.initial_states
-    num_s = len(inputs)
     cap = d if step_cap is None else max(d, step_cap)
+    check_size(cap, "the demo's step trace")
     traces = [deterministic_trace(system, s, cap) for s in inputs]
     steps = [t.goal_step for t in traces]
+    halted = np.array([s is not None and s <= d for s in steps], dtype=bool)
 
-    state = _allocate(num_s, 1, 0)
-    grid = state.grid()
-    grid[:, 0, 0] = 1.0 / np.sqrt(num_s)
-    for t in range(d + 1):  # t = 0 covers inputs that start in a goal state
-        for i, s_halt in enumerate(steps):
-            if s_halt == t:
-                grid[i, 0, 1] = grid[i, 0, 0]
-                grid[i, 0, 0] = 0.0
+    state = uniform_superposition(len(inputs))
+    state[halted, 1] = state[halted, 0]
+    state[halted, 0] = 0.0
 
-    p1 = float(np.sum(np.abs(grid[:, :, 1]) ** 2))
-    p0 = float(np.sum(np.abs(grid[:, :, 0]) ** 2))
+    p1 = float(np.sum(np.abs(state[:, 1]) ** 2))
+    p0 = float(np.sum(np.abs(state[:, 0]) ** 2))
     projected = {}
     for k in (0, 1):
         try:
@@ -213,9 +138,8 @@ def halt_timing_demo(system: ProductionSystem, d: int, step_cap: int | None = No
             projected[k] = None
     branch = []
     for i, trace in enumerate(traces):
-        within = steps[i] is not None and steps[i] <= d
-        upto = trace.trace[: (steps[i] if within else d) + 1]
-        branch.append((inputs[i], steps[i], int(within), upto[-1]))
+        upto = trace.trace[: (steps[i] if halted[i] else d) + 1]
+        branch.append((inputs[i], steps[i], int(halted[i]), upto[-1]))
     return HaltTimingReport(
         inputs=inputs,
         depth=d,
@@ -227,4 +151,3 @@ def halt_timing_demo(system: ProductionSystem, d: int, step_cap: int | None = No
         projected_continue=projected[0],
         projected_halt=projected[1],
     )
-

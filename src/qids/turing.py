@@ -27,12 +27,12 @@ write, move]) and `tape_window`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EncodingClash, InputError, MalformedEncoding, TapeOverflow
-from .jsonfields import check_object, read_field, read_list_of
+from .jsonfields import (check_object, load_json_file, read_field, read_list_of,
+                         save_json_file)
 from .production import Alphabet, ProductionSystem, Rule
 
 MOVES = ("L", "R", "S")
@@ -307,19 +307,8 @@ def tm_to_dict(tm: TuringMachineSpec) -> dict:
 
 
 def load_tm(path) -> TuringMachineSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-                             f"{exc.msg}") from None
-    try:
-        return tm_from_dict(data)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return load_json_file(path, tm_from_dict)
 
 
 def save_tm(tm: TuringMachineSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tm_to_dict(tm), fh, indent=2)
-        fh.write("\n")
+    save_json_file(tm_to_dict(tm), path)

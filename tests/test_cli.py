@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,22 @@ def test_run_depth_cap_far_over_the_sim_cap_exits_1(capsys):
 
 ONE_RULE_SYSTEM = {"alphabet": ["a", "b"], "rules": [{"pre": "a", "post": "a"}],
                    "initial": ["a"], "goals": ["b"]}
+# two always-applicable rules and a goal that no word ending in E can equal
+GOALLESS_TREE = {"alphabet": ["a", "b", "E"],
+                 "rules": [{"pre": "E", "post": "aE"}, {"pre": "E", "post": "bE"}],
+                 "initial": ["E"], "goals": ["aa"], "max_memory_len": 64}
+
+
+def test_run_classical_past_the_node_budget_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("QIDS_SIM_CAP", "20000")
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(GOALLESS_TREE))
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "run", str(path), "--seed", "1", "--classical",
+                           "--depth-cap", "40")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert err.startswith("error:") and "20000" in err
 
 
 @pytest.mark.parametrize("extra", [(), ("--classical",)])
@@ -209,6 +226,18 @@ def test_demo_flaw_straddling_halts(capsys, tmp_path):
     assert payload["steps_to_halt"] == [1, 2, 5, 5]
     assert payload["projection_support"]["1"] == [0, 1]
     assert payload["projection_support"]["0"] == [2, 3]
+
+
+@pytest.mark.parametrize("steps", [("-d", str(10**9)), ("-d", "3", "--step-cap", str(10**9))])
+def test_demo_flaw_step_count_past_the_sim_cap_exits_1(capsys, tmp_path, steps):
+    # a looping system never halts, so the trace would run to the full step count
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({**ONE_RULE_SYSTEM, "goals": ["aa"]}))
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "demo-flaw", str(path), *steps, "--seed", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert err.startswith("error:") and "step trace" in err
 
 
 def test_halt_timing_demo_file_matches_the_gate_system():
@@ -372,19 +401,16 @@ def _flag(name, values):
     return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
 
 
-# Depth caps stay small, or lie past a bound that refuses them before any walk;
-# the classical search always gets one, since its default of 12 takes seconds at b=3.
-_DEPTH_CAPS = st.integers(-1, 6) | st.sampled_from([501, 10**6])
+# Depth caps are small, or deep enough that the sim cap or the walk-depth bound
+# refuses them; the classical search stops at the sim cap's number of expansions.
+_DEPTH_CAPS = st.integers(-1, 6) | st.sampled_from([40, 501, 10**6])
 
 
 @st.composite
 def _run_argv(draw):
-    classical = draw(st.booleans())
     argv = ["run", "{system}", "--seed", str(draw(st.integers(-1, 50))), "--no-timestamp"]
-    if classical:
-        argv += ["--classical", "--depth-cap", str(draw(_DEPTH_CAPS))]
-    else:
-        argv += draw(_flag("--depth-cap", _DEPTH_CAPS))
+    argv += draw(st.sampled_from([[], ["--classical"]]))
+    argv += draw(_flag("--depth-cap", _DEPTH_CAPS))
     argv += draw(_flag("--counting-mode", st.sampled_from(["exact", "assume-one", "some"])))
     argv += draw(_flag("--iterate-policy", st.sampled_from(["optimal", "faithful"])))
     argv += draw(st.sampled_from([[], ["--run-empty-depths"]]))
@@ -403,6 +429,15 @@ _BENCH_ARGV = st.tuples(
     _flag("--format", st.sampled_from(["csv", "json", "xml"])),
 ).map(lambda parts: sum(parts, []))
 
+# Step counts past the sim cap are refused before the trace.
+_DEMO_ARGV = st.tuples(
+    st.just(["demo-flaw", "{system}"]),
+    _flag("-d", st.integers(-1, 8) | st.sampled_from([10**6, 10**9])),
+    _flag("--step-cap", st.integers(-1, 8) | st.just(10**9)),
+    _flag("--seed", st.integers(-1, 50)),
+    st.sampled_from([[], ["--no-timestamp"], ["-o", "{out}"]]),
+).map(lambda parts: sum(parts, []))
+
 _PREDICT_ARGV = st.tuples(
     st.integers(-1, 6) | st.just(10),
     st.integers(-1, 12) | st.sampled_from([400, 10**6]),
@@ -413,13 +448,14 @@ _PREDICT_ARGV = st.tuples(
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(system=_system_dicts(), argv=_run_argv() | _BENCH_ARGV | _PREDICT_ARGV,
+@given(system=_system_dicts(), argv=_run_argv() | _DEMO_ARGV | _BENCH_ARGV | _PREDICT_ARGV,
        sim_cap=st.sampled_from(["64", "4096", "0", "many"]))
 def test_cli_fuzz_never_raises(capsys, monkeypatch, tmp_path, system, argv, sim_cap):
     monkeypatch.setenv("QIDS_SIM_CAP", sim_cap)
     path = tmp_path / "system.json"
     path.write_text(json.dumps(system))
-    code, _, err = run_cli(capsys, *(str(path) if a == "{system}" else a for a in argv))
+    fill = {"{system}": str(path), "{out}": str(tmp_path / "out.json")}
+    code, _, err = run_cli(capsys, *(fill.get(a, a) for a in argv))
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith(("error:", "usage:"))

@@ -17,98 +17,98 @@ from qids.production import marked_vector, tree_system
 from qids.statevector import prepare_halt_minus, uniform_superposition
 
 
-def minus_uniform(b, d):
-    return prepare_halt_minus(uniform_superposition(b, d))
+def minus_uniform(n):
+    return prepare_halt_minus(uniform_superposition(n))
+
+
+def random_state(gen, n):
+    raw = gen.normal(size=(n, 2)) + 1j * gen.normal(size=(n, 2))
+    return raw / np.linalg.norm(raw)
 
 
 # --- oracle ---------------------------------------------------------------------
 
 def test_oracle_phase_flips_marked_entry_only():
-    state = minus_uniform(4, 1)
+    state = minus_uniform(4)
     marks = np.arange(4) == 1
     flipped = apply_oracle(state, marks)
-    grid, orig = flipped.grid(), state.grid()
-    assert np.allclose(grid[0, 1, :], -orig[0, 1, :])
+    assert np.allclose(flipped[1], -state[1])
     for p in (0, 2, 3):
-        assert np.allclose(grid[0, p, :], orig[0, p, :])
+        assert np.allclose(flipped[p], state[p])
 
 
 def test_oracle_with_empty_predicate_is_identity():
-    state = minus_uniform(2, 3)
+    state = minus_uniform(8)
     marks = np.zeros(8, dtype=bool)
-    assert np.array_equal(apply_oracle(state, marks).amps, state.amps)
+    assert np.array_equal(apply_oracle(state, marks), state)
 
 
 def test_oracle_is_involution():
     gen = np.random.default_rng(31)
     for _ in range(10):
-        state = uniform_superposition(2, 4)
-        raw = gen.normal(size=state.dimension) + 1j * gen.normal(size=state.dimension)
-        state.amps[:] = raw / np.linalg.norm(raw)
+        state = random_state(gen, 16)
         marks = gen.random(16) < 0.4
         twice = apply_oracle(apply_oracle(state, marks), marks)
-        assert np.max(np.abs(twice.amps - state.amps)) < 1e-12
+        assert np.max(np.abs(twice - state)) < 1e-12
 
 
 def test_oracle_xors_halt_bit_without_minus_preparation():
-    state = uniform_superposition(2, 2)  # halt bit |0> everywhere
+    state = uniform_superposition(4)  # halt bit |0> everywhere
     marks = np.arange(4) == 3
-    out = apply_oracle(state, marks).grid()
-    assert out[0, 3, 0] == 0 and out[0, 3, 1] != 0
+    out = apply_oracle(state, marks)
+    assert out[3, 0] == 0 and out[3, 1] != 0
 
 
 def test_oracle_reads_a_0_1_integer_array_as_a_mask():
-    state = minus_uniform(4, 1)
-    as_bool = apply_oracle(state, np.arange(4) == 1).amps
-    assert np.array_equal(apply_oracle(state, np.array([0, 1, 0, 0])).amps, as_bool)
+    state = minus_uniform(4)
+    as_bool = apply_oracle(state, np.arange(4) == 1)
+    assert np.array_equal(apply_oracle(state, np.array([0, 1, 0, 0])), as_bool)
 
 
 def test_oracle_rejects_a_bitmap_of_another_length():
     with pytest.raises(InputError):
-        apply_oracle(minus_uniform(4, 1), np.zeros(8, dtype=bool))
+        apply_oracle(minus_uniform(4), np.zeros(8, dtype=bool))
 
 
 # --- diffusion -------------------------------------------------------------------
 
 def test_diffusion_fixes_uniform_state():
-    state = minus_uniform(2, 3)
-    assert np.max(np.abs(apply_diffusion(state).amps - state.amps)) < 1e-12
+    state = minus_uniform(8)
+    assert np.max(np.abs(apply_diffusion(state) - state)) < 1e-12
 
 
 def test_diffusion_on_basis_vector():
-    state = uniform_superposition(4, 1)
-    state.amps[:] = 0
-    state.grid()[0, 0, 0] = 1.0
-    out = apply_diffusion(state).grid()
-    assert np.allclose(out[0, :, 0], [-0.5, 0.5, 0.5, 0.5])
+    state = np.zeros((4, 2), dtype=np.complex128)
+    state[0, 0] = 1.0
+    out = apply_diffusion(state)
+    assert np.allclose(out[:, 0], [-0.5, 0.5, 0.5, 0.5])
+    assert np.all(out[:, 1] == 0)
 
 
 def test_diffusion_preserves_norm():
     gen = np.random.default_rng(8)
-    state = uniform_superposition(2, 5)
-    raw = gen.normal(size=state.dimension) + 1j * gen.normal(size=state.dimension)
-    state.amps[:] = raw / np.linalg.norm(raw)
-    assert abs(apply_diffusion(state).norm() - 1.0) < 1e-12
+    state = random_state(gen, 32)
+    assert abs(np.linalg.norm(apply_diffusion(state)) - 1.0) < 1e-12
 
 
 # --- iterate ---------------------------------------------------------------------
 
 def test_single_iterate_nails_n4_k1():
     marks = np.arange(4) == 2
-    state = grover_iterate(minus_uniform(4, 1), marks)
+    state = grover_iterate(minus_uniform(4), marks)
     assert marked_mass(state, marks) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_iterate_with_no_marks_fixes_uniform():
     marks = np.zeros(8, dtype=bool)
-    state = minus_uniform(2, 3)
+    state = minus_uniform(8)
     out = grover_iterate(state, marks)
-    assert np.max(np.abs(out.amps - state.amps)) < 1e-12
+    assert np.max(np.abs(out - state)) < 1e-12
 
 
 def test_three_iterates_n16():
     marks = np.arange(16) == 11
-    assert simulated_success(2, 4, marks, 3) == pytest.approx(0.9613, abs=1e-4)
+    assert simulated_success(marks, 3) == pytest.approx(0.9613, abs=1e-4)
 
 
 # --- iterate-count policy -----------------------------------------------------------
@@ -147,7 +147,7 @@ def test_asymptotic_tracks_exact_at_depth8():
     asym = predicted_success_asymptotic(2, 8, 1)
     assert abs(asym - exact) <= 0.05
     marks = np.arange(256) == 77
-    sim = simulated_success(2, 8, marks, optimal_iterations(256, 1))
+    sim = simulated_success(marks, optimal_iterations(256, 1))
     assert abs(asym - sim) <= 0.05
 
 
@@ -164,7 +164,7 @@ def test_exact_form_matches_simulation(n, k):
     marks = np.zeros(n, dtype=bool)
     marks[gen.choice(n, size=k, replace=False)] = True
     for m in range(11):
-        assert abs(simulated_success(n, 1, marks, m)
+        assert abs(simulated_success(marks, m)
                    - predicted_success_exact(n, k, m)) < 1e-9
 
 
@@ -190,8 +190,9 @@ def test_closed_form_probabilities_match_dense_engine(case):
     marks, m = case
     k = int(marks.sum())
     closed = amplified_probabilities(marks, k, m)
-    # b = N, d = 1 gives a dense register of exactly N sequences
-    dense = amplified_state(len(marks), 1, marks, m).probabilities()
+    state = amplified_state(marks, m)
+    assert state.shape == (len(marks), 2)
+    dense = np.abs(state.ravel()) ** 2
     assert closed.shape == dense.shape
     assert np.max(np.abs(closed - dense)) <= 1e-12
     assert abs(closed.sum() - 1.0) <= 1e-12
@@ -237,7 +238,7 @@ def test_prefix_structure_grows_counts_on_random_systems():
 def test_unitarity_across_iterates():
     gen = np.random.default_rng(17)
     marks = gen.random(64) < 0.2
-    state = minus_uniform(2, 6)
+    state = minus_uniform(64)
     for _ in range(200):
         state = grover_iterate(state, marks)
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12

@@ -327,6 +327,16 @@ def test_ids_depth_cap_past_the_walk_depth_bound_is_refused():
     assert not result.found and result.nodes_expanded > 0
 
 
+def test_ids_node_budget_is_the_sim_cap(monkeypatch):
+    system = make_system([("A", "AA"), ("A", "AB")], start="A", goals=("C",), max_len=64)
+    expanded = classical_ids(system, "A", 8).nodes_expanded
+    monkeypatch.setenv("QIDS_SIM_CAP", str(expanded))
+    assert classical_ids(system, "A", 8).nodes_expanded == expanded
+    monkeypatch.setenv("QIDS_SIM_CAP", str(expanded - 1))
+    with pytest.raises(SizeLimit, match="expand more than"):
+        classical_ids(system, "A", 8)
+
+
 @pytest.mark.parametrize("trial", range(20))
 def test_ids_agrees_with_bfs(trial):
     gen = np.random.default_rng(7700 + trial)
