@@ -12,7 +12,9 @@ or failed verification. Reports are JSON; predict/bench also emit CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import sys
 import time
 
@@ -61,6 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-timestamp", action="store_true",
                      help="omit volatile fields so identical runs emit identical bytes")
     run.add_argument("-o", "--output", help="write the report here as well as stdout")
+    run.add_argument("-v", "--verbose", action="store_true",
+                     help="log one line per depth of the amplified search to stderr")
 
     comp = sub.add_parser("compile-tm", help="compile a machine file into a system file")
     comp.add_argument("machine", help="machine definition file (JSON)")
@@ -101,6 +105,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _log_to_stderr(enabled: bool):
+    """While the block runs, print the package's INFO log lines to stderr if enabled."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("qids")
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def _cmd_run(args) -> int:
     system = load_system(args.system)
     start = args.start if args.start is not None else system.initial_states[0]
@@ -130,7 +151,8 @@ def _cmd_run(args) -> int:
             iterate_policy=args.iterate_policy,
             skip_empty_depths=not args.run_empty_depths,
         )
-        report = quantum_iterative_deepening(system, start, config)
+        with _log_to_stderr(args.verbose):
+            report = quantum_iterative_deepening(system, start, config)
         text = report_to_json(report, include_volatile=not args.no_timestamp)
         found = report.found
     sys.stdout.write(text)

@@ -7,11 +7,19 @@ that the classical predicate confirms as halting ends the search; otherwise
 the depth increases and the superposition is rebuilt from scratch, which is
 what restores the interference pattern a failed measurement destroyed.
 
-The round is not simulated: it samples from the closed-form probabilities
-of that state (`grover.amplified_probabilities`), in O(b**d) time whatever
-the iterate count. The draw is the same `rng.choice` over the flat register
-that measuring the dense state makes, so seeded reports match the dense
-engine's, which the `engine-agreement` check ties to this vector.
+The round is not simulated. Its state has only two Born weights, one per
+flat entry of a marked sequence and one per unmarked entry
+(`grover.amplified_weights`), so `measure` inverts their cumulative
+distribution in closed form: one uniform double from the depth's generator,
+a binary search over the marked sequences and one division, with no
+length-2N vector and whatever the iterate count. It returns the index that
+`rng.choice` over the flat vector (`grover.amplified_probabilities`) draws
+from that same double, so seeded reports match the dense engine's, which the
+`engine-agreement` check ties to that vector. The vector is built only when
+the double falls within rounding distance of a step edge, to draw from it
+as before. The `draw-agreement` check holds the inverse draw to `rng.choice`,
+so a numpy whose `choice` draws differently fails the gate instead of
+silently changing seeded reports.
 
 Rebuilding makes the cost of re-scanning shallow levels geometric: with the
 optimal iterate policy the cumulative oracle-call count through depth d
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
 import time
 from dataclasses import asdict, dataclass, fields
@@ -34,13 +43,15 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import InputError, SizeLimit
-from .grover import (amplified_probabilities, literal_iterations,
+from .grover import (amplified_probabilities, amplified_weights, literal_iterations,
                      optimal_iterations, predicted_success_exact)
 from .jsonfields import check_object, read_field, read_list_of
 from .limits import check_float_range, sim_cap
 from .production import (ProductionSystem, RuleSequence, check_walk_depth,
                          execute_sequence, index_to_sequence, marked_vector)
-from .statevector import sample_index
+from .statevector import check_total, sample_index
+
+log = logging.getLogger(__name__)
 
 REPORT_SCHEMA = "qids.search-report/1"
 
@@ -133,16 +144,86 @@ def iterate_count(n_paths: int, k_policy: int, policy: str) -> int:
     return optimal_iterations(n_paths, k_policy)
 
 
+def _inverse_cdf(pos: np.ndarray, n_paths: int, p_marked: float, p_unmarked: float,
+                 total: float, u: float) -> int | None:
+    """The sequence whose flat step of the cumulative distribution holds u.
+
+    The flat entries 2i and 2i + 1 of sequence i weigh p_marked if i is
+    marked and p_unmarked if not, so with M(i) the number of marked
+    sequences below i the mass below flat index 2i + h is
+
+        S(2i + h) = 2 * (M(i) * p_marked + (i - M(i)) * p_unmarked) + h * w(i).
+
+    `rng.choice(2N, p=probs / probs.sum())` takes one double u and returns
+    the first f whose computed cdf[f] exceeds u, where cdf is the sequential
+    cumsum of the divided weights, divided by its last entry. Every term is
+    non-negative and every operation rounds once (unit roundoff eps/2, with
+    eps = 2**-52), so with n = 2N each cdf[f] is the exact S(f + 1)/S(2N)
+    times (1 + theta), |theta| <= gamma(2n + 1) = (2n + 1)(eps/2) / (1 -
+    (2n + 1)(eps/2)): one rounding in the division by the total, at most
+    n - 1 in the cumsum and one in the division by cdf[-1], plus the same
+    for cdf[-1] itself (Higham, Accuracy and Stability of Numerical
+    Algorithms, Lemma 3.1). The scale 1/total cancels.
+    Evaluating S(f)/S(2N) here takes at most eight more roundings, so each
+    step edge lies within gamma(2n + 9) <= (n + 5) * eps of where it is
+    computed here. Unless u clears both edges of its step by twice that,
+    the band (2n + 16) * eps, this returns None and the caller falls back to
+    `rng.choice` over the vector.
+    """
+    band = (4 * n_paths + 16) * np.finfo(float).eps
+    t = u * total
+    # binary search over the marked sequences, then one division in the run of unmarked ones
+    j = np.arange(len(pos))
+    starts = 2 * (j * p_marked + (pos - j) * p_unmarked)
+    r = int(np.searchsorted(starts, t, side="right")) - 1
+    if r >= 0 and t - starts[r] < 2 * p_marked:
+        flat = 2 * int(pos[r]) + int(t - starts[r] >= p_marked)
+    elif p_unmarked > 0:
+        first, base = (int(pos[r]) + 1, starts[r] + 2 * p_marked) if r >= 0 else (0, 0.0)
+        flat = 2 * first + int((t - base) // p_unmarked)
+    else:
+        return None
+    index, h = divmod(min(max(flat, 0), 2 * n_paths - 1), 2)
+    below = int(np.searchsorted(pos, index))
+    weight = p_marked if below < len(pos) and pos[below] == index else p_unmarked
+    lo = 2 * (below * p_marked + (index - below) * p_unmarked) + h * weight
+    if u - lo / total > band and (lo + weight) / total - u > band:
+        return index
+    return None
+
+
+def draw(marks: np.ndarray, k: int, m: int, seed: int, depth: int) -> tuple[int, bool]:
+    """(sequence index measured after m iterates, whether the inverse CDF gave it).
+
+    The index is the one `sample_index(amplified_probabilities(marks, k, m),
+    depth_rng(seed, depth)) // 2` draws. The closed-form total is checked
+    for NormDrift before the depth's generator is touched; the probability
+    vector is built only when the drawn double sits on a step edge.
+    """
+    n_paths = len(marks)
+    p_marked, p_unmarked = amplified_weights(n_paths, k, m)
+    pos = np.flatnonzero(marks)
+    total = 2 * (len(pos) * p_marked + (n_paths - len(pos)) * p_unmarked)
+    check_total(total)
+    index = _inverse_cdf(pos, n_paths, p_marked, p_unmarked, total,
+                         depth_rng(seed, depth).random())
+    if index is not None:
+        return index, True
+    probs = amplified_probabilities(marks, k, m)
+    return sample_index(probs, depth_rng(seed, depth)) // 2, False
+
+
 def measure(marks: np.ndarray, k: int, m: int, seed: int, depth: int) -> int:
     """Measure the round at `depth`: the sequence index drawn after m iterates.
 
     The closed-form counterpart of `statevector.measure` on the amplified
-    state: the same Born draw over the flat register, with the depth's own
-    generator, from the vector that `amplified_probabilities` gives instead
-    of the dense amplitudes.
+    state: the same Born draw with the depth's own generator, by the exact
+    inverse-CDF `draw`. Logs the round as one INFO line.
     """
-    probs = amplified_probabilities(marks, k, m)
-    return sample_index(probs, depth_rng(seed, depth)) // 2
+    index, fast = draw(marks, k, m, seed, depth)
+    log.info("depth=%d k=%d m=%d index=%d halting=%s draw=%s", depth, k, m, index,
+             bool(marks[index]), "inverse-cdf" if fast else "vector")
+    return index
 
 
 def quantum_iterative_deepening(system: ProductionSystem, start: str,
@@ -172,6 +253,7 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
         marks = marked_vector(system, start, depth)
         k = int(np.count_nonzero(marks))
         if k == 0 and config.skip_empty_depths:
+            log.info("depth=%d k=0 skipped", depth)
             per_depth.append(DepthRecord(depth, n_paths, 0, 0, 0, 0.0, True, None, None, None))
             continue
         k_policy = k if config.counting_mode == "exact" else 1

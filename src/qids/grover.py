@@ -10,9 +10,10 @@ application plus one diffusion is one search iterate, and the closed form
 
 gives the exact marked mass after m iterates from a uniform start.
 
-The search driver samples from `amplified_probabilities`, the closed form
-of the whole probability vector; the dense iterate below is the reference
-that the verification suite checks it against. It acts on `statevector`
+The search driver draws from the two closed-form weights of that state
+(`amplified_weights`); `amplified_probabilities` spreads them into the whole
+flat probability vector, and the dense iterate below is the reference that
+the verification suite checks that vector against. It acts on `statevector`
 arrays of shape (N, 2), one row per sequence, and takes N from len(marks).
 """
 
@@ -103,25 +104,33 @@ def amplified_state(marks: np.ndarray, m: int, coeff: float = 2.0) -> np.ndarray
     return state
 
 
-def amplified_probabilities(marks: np.ndarray, k: int, m: int) -> np.ndarray:
-    """Flat Born probabilities of `amplified_state` after m iterates, in closed form.
+def amplified_weights(n_paths: int, k: int, m: int) -> tuple[float, float]:
+    """(p_marked, p_unmarked): the Born weight of one flat entry after m iterates.
 
     From a uniform start the state stays in the span of the marked and the
     unmarked uniform superpositions, so with theta = asin(sqrt(k/N)) each of
     the k marked sequences carries sin**2((2m+1) theta)/k and each unmarked
     one cos**2((2m+1) theta)/(N-k), split evenly over the two halt-bit
-    values. The result has the flat layout p*2 + h of the dense register.
-    k = 0 leaves the uniform 1/(2N); k = N has no unmarked term.
+    values. k = 0 leaves the uniform 1/(2N); k = N has no unmarked weight.
     """
-    n_paths = len(marks)
     if not 0 <= k <= n_paths:
         raise InputError(f"need 0 <= k <= N, got k={k} N={n_paths}")
     if m < 0:
         raise InputError("iterate count must be >= 0")
-    check_size(2 * n_paths, "probability vector")
     angle = (2 * m + 1) * math.asin(math.sqrt(k / n_paths))
     p_marked = math.sin(angle) ** 2 / (2 * k) if k else 0.0
     p_unmarked = math.cos(angle) ** 2 / (2 * (n_paths - k)) if k < n_paths else 0.0
+    return p_marked, p_unmarked
+
+
+def amplified_probabilities(marks: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Flat Born probabilities of `amplified_state` after m iterates, in closed form.
+
+    Each entry is one of the two `amplified_weights`, in the flat layout
+    p*2 + h of the dense register.
+    """
+    p_marked, p_unmarked = amplified_weights(len(marks), k, m)
+    check_size(2 * len(marks), "probability vector")
     return np.repeat(np.where(marks, p_marked, p_unmarked), 2)
 
 

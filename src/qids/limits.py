@@ -1,8 +1,9 @@
 """Desk-scale resource caps.
 
 Dense amplitude storage means memory scales linearly with the number of
-basis states, so the marking walk's bitmap, the search's probability vector
-and statevector allocation all refuse to grow past a cap. The same cap
+basis states, so the marking walk's bitmap, the closed-form probability
+vector (built by the search only when its draw falls back to it) and
+statevector allocation all refuse to grow past a cap. The same cap
 bounds classical iterative deepening's node expansions and the halt demo's
 step trace. The default (2**22) can be overridden with the QIDS_SIM_CAP
 environment variable.

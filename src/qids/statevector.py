@@ -13,10 +13,15 @@ fresh arrays; callers read `state[:, h]` for a halt-bit slice,
 `np.linalg.norm(state)` for the norm and `np.abs(state.ravel()) ** 2` for
 the Born probabilities.
 
-The search driver does not simulate amplification: it draws from the
-closed-form probabilities with `sample_index`, the sampler that `measure`
-also uses, and the dense amplified state is the reference the verification
-suite checks that vector against.
+The search driver does not simulate amplification, and it builds no
+probability vector unless it must: `driver.measure` finds the sequence that
+`sample_index` (the sampler `measure` uses) would draw from the closed-form
+vector by inverting the two-valued cumulative distribution directly, and
+falls back to `sample_index` over that vector only when the draw lands
+within rounding distance of a step edge. That equality rests on how numpy's
+`choice` turns one double into an index, which the `draw-agreement` check
+of the verification suite guards. The dense amplified state is the
+reference the suite checks the closed-form vector against.
 """
 
 from __future__ import annotations
@@ -53,15 +58,20 @@ def prepare_halt_minus(state: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_total(total: float) -> None:
+    """Raise NormDrift if the norm sqrt(total) of a Born total strays past MEASURE_NORM_TOL."""
+    if abs(np.sqrt(total) - 1.0) > MEASURE_NORM_TOL:
+        raise NormDrift(f"state norm = {np.sqrt(total):.9f} drifted beyond {MEASURE_NORM_TOL}")
+
+
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one flat index from a Born probability vector.
 
-    The vector must sum to 1 within MEASURE_NORM_TOL (checked on the norm
-    it implies); it is renormalised before the draw.
+    The vector must sum to 1 within MEASURE_NORM_TOL (`check_total`); it is
+    renormalised before the draw.
     """
     total = probs.sum()
-    if abs(np.sqrt(total) - 1.0) > MEASURE_NORM_TOL:
-        raise NormDrift(f"state norm = {np.sqrt(total):.9f} drifted beyond {MEASURE_NORM_TOL}")
+    check_total(total)
     return int(rng.choice(len(probs), p=probs / total))
 
 

@@ -24,8 +24,9 @@ from functools import cache
 
 import numpy as np
 
-from .driver import (QidConfig, cumulative_calls, quantum_iterative_deepening,
-                     report_within_call_budget, within_call_budget)
+from .driver import (QidConfig, cumulative_calls, depth_rng, draw,
+                     quantum_iterative_deepening, report_within_call_budget,
+                     within_call_budget)
 from .errors import QidsError
 from .grover import (amplified_probabilities, amplified_state, grover_iterate,
                      literal_iterations, optimal_iterations,
@@ -35,7 +36,7 @@ from .production import (Alphabet, ProductionSystem, Rule, apply_rule,
                          classical_ids, deterministic_trace, execute_sequence,
                          marked_vector)
 from .statevector import (halt_timing_demo, measure, prepare_halt_minus,
-                          uniform_superposition)
+                          sample_index, uniform_superposition)
 from .turing import (DeltaEntry, TuringMachineSpec, compile_tm, decode_config,
                      initial_memory, tm_trace)
 
@@ -44,6 +45,7 @@ CORPUS_SIZE = 20
 RUN_SEED_BASE = 52000
 ACCEPTANCE_TRIALS = 200
 ACCEPTANCE_MIN_PREDICTED = 0.93
+DRAW_SEEDS = 40
 
 
 @dataclass
@@ -453,6 +455,19 @@ def check_unitarity(iterations: int = 1000, coeff: float = 2.0) -> CheckResult:
                    f"|norm - 1| = {drift:.3e} after {iterations} iterates at dim 2048")
 
 
+def _closed_form_registers() -> list[tuple[np.ndarray, int, int]]:
+    """(marks, depth, m) for the corpus at d*..d*+3 under both iterate counts, plus b=4, d=8, k=1."""
+    cases = []
+    for entry in acceptance_corpus():
+        for d in range(entry.d_star, entry.d_star + 4):
+            marks = marked_vector(entry.system, entry.start, d)
+            k = int(marks.sum())
+            cases += [(marks, d, optimal_iterations(len(marks), k)),
+                      (marks, d, literal_iterations(len(marks)))]
+    cases.append((np.arange(4**8) == 4321, 8, optimal_iterations(4**8, 1)))
+    return cases
+
+
 def check_engine_agreement(coeff: float = 2.0) -> CheckResult:
     """Closed-form probabilities equal the dense engine's within 1e-12.
 
@@ -460,22 +475,50 @@ def check_engine_agreement(coeff: float = 2.0) -> CheckResult:
     faithful iterate counts, plus one single-mark register at b=4, d=8.
     """
     t0 = time.perf_counter()
-    cases = []
-    for entry in acceptance_corpus():
-        for d in range(entry.d_star, entry.d_star + 4):
-            marks = marked_vector(entry.system, entry.start, d)
-            k = int(marks.sum())
-            cases += [(marks, optimal_iterations(len(marks), k)),
-                      (marks, literal_iterations(len(marks)))]
-    cases.append((np.arange(4**8) == 4321, optimal_iterations(4**8, 1)))
+    cases = _closed_form_registers()
     worst = 0.0
-    for marks, m in cases:
+    for marks, _, m in cases:
         dense = np.abs(amplified_state(marks, m, coeff).ravel()) ** 2
         closed = amplified_probabilities(marks, int(marks.sum()), m)
         worst = max(worst, float(np.max(np.abs(dense - closed))))
     return _result("engine-agreement", t0, worst <= 1e-12,
                    f"max |dense - closed form| = {worst:.3e} over {len(cases)} "
                    f"registers (tolerance 1e-12)")
+
+
+def check_draw_agreement() -> CheckResult:
+    """The search's inverse-CDF draw measures what `rng.choice` over the vector does.
+
+    On the `engine-agreement` registers, and on registers of 4096 sequences
+    with none and with all of them marked, each over DRAW_SEEDS seeds, the
+    seeded `driver.draw` must
+    equal `sample_index` over `amplified_probabilities` with the same
+    depth generator. The draw relies on how numpy's `choice` turns one
+    double into an index; a numpy that changes it fails here.
+    """
+    t0 = time.perf_counter()
+    cases = _closed_form_registers()
+    n = 4096
+    for marks in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool)):
+        cases += [(marks, 12, m) for m in (0, 1, optimal_iterations(n, 1), literal_iterations(n))]
+    draws = fallbacks = 0
+    problems = []
+    for c, (marks, depth, m) in enumerate(cases):
+        k = int(marks.sum())
+        probs = amplified_probabilities(marks, k, m)
+        for seed in range(RUN_SEED_BASE, RUN_SEED_BASE + DRAW_SEEDS):
+            index, fast = draw(marks, k, m, seed, depth)
+            expected = sample_index(probs, depth_rng(seed, depth)) // 2
+            draws += 1
+            fallbacks += not fast
+            if index != expected:
+                problems.append(f"register {c} (N={len(marks)}, k={k}, m={m}) seed {seed}: "
+                                f"drew {index}, rng.choice drew {expected}")
+    detail = (f"{draws - len(problems)}/{draws} draws over {len(cases)} registers agree; "
+              f"{fallbacks} took the vector fallback")
+    if problems:
+        detail += "; " + "; ".join(problems[:4])
+    return _result("draw-agreement", t0, not problems, detail)
 
 
 ALL_CHECKS = {
@@ -488,6 +531,7 @@ ALL_CHECKS = {
     "measurement-statistics": check_measurement_statistics,
     "unitarity-drift": check_unitarity,
     "engine-agreement": check_engine_agreement,
+    "draw-agreement": check_draw_agreement,
 }
 
 # The checks that run the dense engine; each takes the diffusion coefficient

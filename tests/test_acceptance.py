@@ -7,9 +7,10 @@ asserts the whole gate fits the five-minute budget.
 """
 
 from qids.verify import (ALL_CHECKS, acceptance_corpus, check_call_budget,
-                         check_formula_reconciliation, check_grover_correctness,
-                         check_halt_timing_demo, check_measurement_statistics,
-                         check_engine_agreement, check_search_vs_classical,
+                         check_draw_agreement, check_formula_reconciliation,
+                         check_grover_correctness, check_halt_timing_demo,
+                         check_measurement_statistics, check_engine_agreement,
+                         check_search_vs_classical,
                          check_tm_bisimulation, check_unitarity,
                          reconciliation_table)
 
@@ -81,6 +82,12 @@ def test_criterion_9_engine_agreement():
     # corpus at d*..d*+3 under optimal and faithful m, plus b=4 d=8 k=1:
     # closed-form probabilities == dense engine @ 1e-12
     _gate(check_engine_agreement())
+
+
+def test_criterion_10_draw_agreement():
+    # the same registers plus k=0 and k=N ones, 40 seeds each: the inverse-CDF
+    # draw == rng.choice over the closed-form vector, index for index
+    _gate(check_draw_agreement())
 
 
 def test_gate_runs_inside_budget():

@@ -45,6 +45,22 @@ def test_run_finds_tree_goal(capsys, tmp_path):
     assert classical_ids(load_system(TREE), "E", 6).d_star == 3
 
 
+def test_run_verbose_logs_one_line_per_depth_to_stderr_only(capsys):
+    argv = ("run", TREE, "--seed", "42", "--no-timestamp")
+    code, quiet, quiet_err = run_cli(capsys, *argv)
+    code_v, out, err = run_cli(capsys, *argv, "-v")
+    assert code == code_v == 0
+    assert out == quiet and quiet_err == ""
+    rows = json.loads(out)["per_depth"]
+    assert err.splitlines() == [
+        f"depth={r['depth']} k=0 skipped" if r["skipped"] else
+        f"depth={r['depth']} k={r['k']} m={r['m']} index={r['measured_index']} "
+        f"halting={r['measured_halting']} draw=inverse-cdf"
+        for r in rows]
+    # the handler goes when the command ends
+    assert run_cli(capsys, *argv) == (0, quiet, "")
+
+
 def test_run_unsatisfiable_exits_2(capsys):
     code, out, _ = run_cli(capsys, "run", UNSAT, "--seed", "3", "--depth-cap", "4",
                            "--no-timestamp")
@@ -353,15 +369,15 @@ def test_verify_engine_agreement_detects_injected_fault(capsys):
     assert "FAIL engine-agreement" in out
 
 
-def test_verify_injected_fault_fails_every_dense_check_and_runs_all_nine(capsys):
+def test_verify_injected_fault_fails_every_dense_check_and_runs_them_all(capsys):
     code, out, _ = run_cli(capsys, "verify", "--inject-fault", "diffusion")
     assert code == 1
     lines = out.strip().splitlines()
-    assert len(lines) == 10  # nine checks + summary
+    assert len(lines) == 11  # ten checks + summary
     failed = {line.split()[1] for line in lines[:-1] if line.startswith("FAIL")}
     assert failed == {"grover-correctness", "measurement-statistics",
                       "unitarity-drift", "engine-agreement"}
-    assert lines[-1].startswith("FAIL 5/9")
+    assert lines[-1].startswith("FAIL 6/10")
 
 
 def test_verify_unknown_check_errors(capsys):

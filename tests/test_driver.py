@@ -3,16 +3,22 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_system
-from qids.driver import (QidConfig, cumulative_calls, depth_rng,
+from qids import driver
+from qids.driver import (QidConfig, cumulative_calls, depth_rng, draw, measure,
                          quantum_iterative_deepening, report_from_dict,
                          report_from_json, report_to_dict, report_to_json,
                          report_within_call_budget, within_call_budget)
-from qids.errors import InputError, SizeLimit
-from qids.grover import optimal_iterations, predicted_success_exact
+from qids.errors import InputError, NormDrift, SizeLimit
+from qids.grover import (amplified_probabilities, amplified_weights, optimal_iterations,
+                         predicted_success_exact)
 from qids.production import MAX_WALK_DEPTH, execute_sequence
+from qids.statevector import sample_index
 
 
 def run(system, start, seed, **kwargs):
@@ -69,6 +75,68 @@ def test_depth_rng_split_is_stable():
     draws_b = depth_rng(5, 3).integers(0, 1000, size=4).tolist()
     assert draws_a == draws_b
     assert draws_a != depth_rng(5, 4).integers(0, 1000, size=4).tolist()
+
+
+def reference_draw(marks, k, m, rng):
+    """The sequence `rng.choice` picks from the closed-form flat vector."""
+    return sample_index(amplified_probabilities(marks, k, m), rng) // 2
+
+
+@st.composite
+def registers(draw_from):
+    n = draw_from(st.integers(1, 3000))
+    k = draw_from(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+    marks = np.zeros(n, dtype=bool)
+    marks[np.random.default_rng(draw_from(st.integers(0, 2**32 - 1))).permutation(n)[:k]] = True
+    return marks, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(register=registers(), m=st.integers(0, 120), seed=st.integers(0, 2**32 - 1),
+       depth=st.integers(0, 30))
+def test_draw_is_the_rng_choice_index(register, m, seed, depth):
+    marks, k = register
+    index, _ = draw(marks, k, m, seed, depth)
+    assert index == reference_draw(marks, k, m, depth_rng(seed, depth))
+
+
+class FixedDouble(np.random.Generator):
+    """A generator whose every uniform double is u, in `choice` as well."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u
+
+
+def test_draw_on_a_step_edge_falls_back_and_agrees(monkeypatch):
+    # every flat step carries mass: 0.14 per marked entry, 0.0155 per unmarked one
+    marks = np.isin(np.arange(8), (2, 5, 6))
+    k, m = 3, 1
+    cdf = np.cumsum(amplified_probabilities(marks, k, m))
+    edges = np.concatenate(([0.0], cdf[:-1])) / cdf[-1]
+    mids = (edges + np.append(edges[1:], 1.0)) / 2
+    for f in range(2 * len(marks)):
+        monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(edges[f]))
+        assert draw(marks, k, m, 0, 3) == (reference_draw(marks, k, m, FixedDouble(edges[f])),
+                                           False)
+        monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(mids[f]))
+        assert draw(marks, k, m, 0, 3) == (f // 2, True)
+
+
+def test_perturbed_total_raises_norm_drift_before_the_draw(monkeypatch):
+    p_marked, p_unmarked = amplified_weights(64, 1, 6)
+    monkeypatch.setattr(driver, "amplified_weights",
+                        lambda n, k, m: (1.01 * p_marked, 1.01 * p_unmarked))
+
+    def no_generator(seed, depth):
+        raise AssertionError("drew before checking the total")
+
+    monkeypatch.setattr(driver, "depth_rng", no_generator)
+    with pytest.raises(NormDrift):
+        measure(np.arange(64) == 3, 1, 6, 0, 6)
 
 
 def test_skipping_empty_depths_does_not_change_outcome(fig_tree):
