@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import sys
@@ -45,7 +46,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit((EXIT_ERROR, f"error: {message}"))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="qids", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

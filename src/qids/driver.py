@@ -26,7 +26,9 @@ optimal iterate policy the cumulative oracle-call count through depth d
 stays within 4 * sqrt(b**d) for any branching factor b >= 2: the budget
 that `within_call_budget` states and `cumulative_calls` tabulates.
 
-Reports serialise to JSON ("qids.search-report/1"). The volatile fields
+Reports serialise to JSON ("qids.search-report/1") straight from the
+`SearchReport`, `DepthRecord` and `QidConfig` fields, which are the format;
+qids writes reports and never reads them back. The volatile fields
 (wall time, timestamp) can be suppressed so reports from identical seeded
 runs compare byte-for-byte.
 """
@@ -38,14 +40,13 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InputError, SizeLimit
 from .grover import (amplified_probabilities, amplified_weights, literal_iterations,
                      optimal_iterations, predicted_success_exact)
-from .jsonfields import check_object, read_field, read_list_of
 from .limits import check_float_range, sim_cap
 from .production import (ProductionSystem, RuleSequence, check_walk_depth,
                          execute_sequence, index_to_sequence, marked_vector)
@@ -301,93 +302,13 @@ def report_within_call_budget(report: SearchReport, b: int) -> bool:
 
 
 def report_to_dict(report: SearchReport, include_volatile: bool = True) -> dict:
-    data = {
-        "schema": REPORT_SCHEMA,
-        "outcome": report.outcome,
-        "found": report.found,
-        "d_star": report.d_star,
-        "witness": list(report.witness) if report.witness is not None else None,
-        "goal_state": report.goal_state,
-        "measured_depth": report.measured_depth,
-        "per_depth": [
-            {**asdict(rec),
-             "measured_sequence": (list(rec.measured_sequence)
-                                   if rec.measured_sequence is not None else None)}
-            for rec in report.per_depth
-        ],
-        "total_oracle_calls": report.total_oracle_calls,
-        "seed": report.seed,
-        "config": {
-            "seed": report.config.seed,
-            "depth_cap": report.config.depth_cap,
-            "counting_mode": report.config.counting_mode,
-            "iterate_policy": report.config.iterate_policy,
-            "skip_empty_depths": report.config.skip_empty_depths,
-        },
-    }
+    data = {"schema": REPORT_SCHEMA, "outcome": report.outcome, **asdict(report)}
     if include_volatile:
-        data["wall_time_s"] = report.wall_time_s
         data["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    else:
+        del data["wall_time_s"]
     return data
-
-
-_CONFIG_FIELDS = {"seed", "depth_cap", "counting_mode", "iterate_policy", "skip_empty_depths"}
-_RECORD_FIELDS = {f.name for f in fields(DepthRecord)}
-
-
-def _record_from_dict(rec: dict, owner: str) -> DepthRecord:
-    check_object(rec, _RECORD_FIELDS, owner)
-    return DepthRecord(
-        depth=read_field(rec, "depth", int, owner),
-        n_paths=read_field(rec, "n_paths", int, owner),
-        k=read_field(rec, "k", int, owner),
-        m=read_field(rec, "m", int, owner),
-        oracle_calls=read_field(rec, "oracle_calls", int, owner),
-        predicted_success=read_field(rec, "predicted_success", float, owner),
-        skipped=read_field(rec, "skipped", bool, owner),
-        measured_index=read_field(rec, "measured_index", int, owner, optional=True),
-        measured_sequence=read_list_of(rec, "measured_sequence", int, owner, optional=True),
-        measured_halting=read_field(rec, "measured_halting", bool, owner, optional=True),
-    )
-
-
-def report_from_dict(data: dict) -> SearchReport:
-    """Parse a report; a missing or mistyped field is an InputError naming it."""
-    if not isinstance(data, dict):
-        raise InputError("report must be a JSON object")
-    if data.get("schema") != REPORT_SCHEMA:
-        raise InputError(f"unrecognised report schema {data.get('schema')!r}")
-    cfg = check_object(read_field(data, "config", dict, "report"), _CONFIG_FIELDS,
-                       "report config")
-    config = QidConfig(
-        seed=read_field(cfg, "seed", int, "report config"),
-        depth_cap=read_field(cfg, "depth_cap", int, "report config", optional=True),
-        counting_mode=read_field(cfg, "counting_mode", str, "report config"),
-        iterate_policy=read_field(cfg, "iterate_policy", str, "report config"),
-        skip_empty_depths=read_field(cfg, "skip_empty_depths", bool, "report config"),
-    )
-    return SearchReport(
-        found=read_field(data, "found", bool, "report"),
-        d_star=read_field(data, "d_star", int, "report", optional=True),
-        witness=read_list_of(data, "witness", int, "report", optional=True),
-        goal_state=read_field(data, "goal_state", str, "report", optional=True),
-        measured_depth=read_field(data, "measured_depth", int, "report", optional=True),
-        per_depth=[_record_from_dict(rec, f"per_depth[{i}]")
-                   for i, rec in enumerate(read_field(data, "per_depth", list, "report"))],
-        total_oracle_calls=read_field(data, "total_oracle_calls", int, "report"),
-        seed=read_field(data, "seed", int, "report"),
-        config=config,
-        wall_time_s=read_field(data, "wall_time_s", float, "report", 0.0),
-    )
 
 
 def report_to_json(report: SearchReport, include_volatile: bool = True) -> str:
     return json.dumps(report_to_dict(report, include_volatile), indent=2) + "\n"
-
-
-def report_from_json(text: str) -> SearchReport:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"report is not valid JSON: {exc}") from None
-    return report_from_dict(data)

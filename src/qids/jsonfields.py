@@ -1,10 +1,10 @@
 """Strict typed readers for the fields of parsed JSON objects, and JSON files.
 
-System, machine and report files are read through these, so that a field
-of the wrong JSON type ends as an InputError naming the field instead of
-a Python exception from a conversion, or a silent misparse such as a
-string read as a list of its characters. `load_json_file` and
-`save_json_file` are the one reader and writer of system and machine files.
+System and machine files are read through these, so that a field of the
+wrong JSON type ends as an InputError naming the field instead of a Python
+exception from a conversion, or a silent misparse such as a string read as
+a list of its characters. `load_json_file` and `save_json_file` are the one
+reader and writer of system and machine files.
 """
 
 from __future__ import annotations
@@ -16,45 +16,32 @@ from .errors import InputError
 
 _REQUIRED = object()
 
-_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
-               list: "a list", dict: "an object"}
+_KIND_NAMES = {str: "a string", int: "an integer", list: "a list"}
 
 
 def _is_kind(value, kind: type) -> bool:
-    """JSON typing: a bool is not a number, and an integer is also a number."""
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
+    """JSON typing: true and false are not integers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def read_field(data: dict, key: str, kind: type, owner: str, default=_REQUIRED,
-               optional: bool = False):
+def read_field(data: dict, key: str, kind: type, owner: str, default=_REQUIRED):
     """`data[key]` checked to be a `kind`, or `default` when the key is absent.
 
-    Without a default the key is required. With `optional`, null is read as
-    None. A float field reads an integer as a float.
+    Without a default the key is required.
     """
     if key not in data:
         if default is _REQUIRED:
             raise InputError(f"{owner} field {key!r} is missing")
         return default
     value = data[key]
-    if value is None and optional:
-        return None
     if not _is_kind(value, kind):
-        null = " or null" if optional else ""
-        raise InputError(f"{owner} field {key!r} must be {_KIND_NAMES[kind]}{null}, "
-                         f"got {value!r}")
-    return float(value) if kind is float else value
+        raise InputError(f"{owner} field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
 
 
-def read_list_of(data: dict, key: str, kind: type, owner: str, optional: bool = False):
-    """`data[key]` as a tuple whose items are each a `kind` (None when null and `optional`)."""
-    values = read_field(data, key, list, owner, optional=optional)
-    if values is None:
-        return None
+def read_list_of(data: dict, key: str, kind: type, owner: str) -> tuple:
+    """`data[key]` as a tuple whose items are each a `kind`."""
+    values = read_field(data, key, list, owner)
     for i, value in enumerate(values):
         if not _is_kind(value, kind):
             raise InputError(f"{owner} field {key!r}[{i}] must be {_KIND_NAMES[kind]}, "
@@ -80,6 +67,10 @@ def load_json_file(path, from_dict: Callable[[dict], object]):
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                              f"{exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+        except RecursionError:
+            raise InputError(f"{path}: JSON nested too deeply to read") from None
     try:
         return from_dict(data)
     except InputError as exc:

@@ -115,6 +115,20 @@ def test_compile_mistyped_machine_field_exits_1(capsys, tmp_path, field, value):
     assert err.startswith("error:") and repr(field) in err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "nested-100000-deep"])
+@pytest.mark.parametrize("command", [("run", "--seed", "1"),
+                                     ("compile-tm", "-o", "out.json"),
+                                     ("demo-flaw", "-d", "2", "--seed", "1")])
+def test_unreadable_json_file_exits_1(capsys, tmp_path, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    name, *rest = command
+    code, _, err = run_cli(capsys, name, str(bad), *rest)
+    assert code == 1
+    assert err.startswith("error:") and str(bad) in err
+
+
 def test_run_missing_file_exits_1(capsys):
     code, _, err = run_cli(capsys, "run", "nowhere.json", "--seed", "1")
     assert code == 1
@@ -180,13 +194,6 @@ def test_run_byte_identical_without_timestamp(capsys):
     assert first == second
 
 
-def test_run_report_round_trips_through_parser(capsys):
-    from qids.driver import report_from_json, report_to_json
-    _, out, _ = run_cli(capsys, "run", TREE, "--seed", "11", "--depth-cap", "5",
-                        "--no-timestamp")
-    assert report_to_json(report_from_json(out), include_volatile=False) == out
-
-
 # --- compile-tm -------------------------------------------------------------------
 
 def test_compile_then_run_classical_reproduces_direct_execution(capsys, tmp_path):
@@ -212,6 +219,14 @@ def test_compiled_file_round_trips(capsys, tmp_path):
     from qids.production import save_system
     save_system(first, resaved)
     assert load_system(resaved).rules == first.rules
+
+
+def test_compile_tape_defaults_do_not_carry_over_between_calls(capsys, tmp_path):
+    sys_path = tmp_path / "unary.json"
+    run_cli(capsys, "compile-tm", UNARY_TM, "-o", str(sys_path), "--tape", "1", "--tape", "11")
+    assert len(load_system(sys_path).initial_states) == 2
+    run_cli(capsys, "compile-tm", UNARY_TM, "-o", str(sys_path), "--tape", "1")
+    assert len(load_system(sys_path).initial_states) == 1
 
 
 def test_compile_overlapping_tokens_exits_1(capsys, tmp_path):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_system
 from qids import driver
 from qids.driver import (QidConfig, cumulative_calls, depth_rng, draw, measure,
-                         quantum_iterative_deepening, report_from_dict,
-                         report_from_json, report_to_dict, report_to_json,
+                         quantum_iterative_deepening, report_to_dict, report_to_json,
                          report_within_call_budget, within_call_budget)
 from qids.errors import InputError, NormDrift, SizeLimit
 from qids.grover import (amplified_probabilities, amplified_weights, optimal_iterations,
@@ -262,37 +261,3 @@ def test_search_on_nondeterministic_compiled_machine():
     replay = execute_sequence(system, start, report.witness)
     final = decode_config(tm, replay.trace[replay.halt_depth])
     assert final.state == "h"
-
-
-def test_report_json_round_trip(fig_tree):
-    report = run(fig_tree, "E", seed=42)
-    text = report_to_json(report, include_volatile=False)
-    parsed = report_from_json(text)
-    assert report_to_json(parsed, include_volatile=False) == text
-    assert parsed.witness == report.witness
-    assert parsed.config == report.config
-
-
-@pytest.mark.parametrize("damage", [
-    lambda d: d.pop("per_depth"),
-    lambda d: d.pop("config"),
-    lambda d: d["config"].pop("seed"),
-    lambda d: d.update(found="yes"),
-    lambda d: d.update(witness=[0, "1"]),
-    lambda d: d["per_depth"][0].pop("k"),
-    lambda d: d["per_depth"][0].update(measured_index=1.5),
-    lambda d: d["per_depth"][0].update(colour="red"),
-    lambda d: d.update(per_depth=[3]),
-])
-def test_report_parser_rejects_missing_or_mistyped_fields(fig_tree, damage):
-    data = report_to_dict(run(fig_tree, "E", seed=42), include_volatile=False)
-    damage(data)
-    with pytest.raises(InputError):
-        report_from_dict(data)
-
-
-@pytest.mark.parametrize("text", ['{"schema": "qids.search-report/1", "config": {"seed": 1}}',
-                                  "[1]", "{"])
-def test_report_parser_rejects_malformed_text(text):
-    with pytest.raises(InputError):
-        report_from_json(text)
