@@ -32,11 +32,6 @@ class TapeOverflow(QidsError):
 class EncodingClash(InputError):
     """Machine tokens cannot be embedded unambiguously in a memory string."""
 
-    def __init__(self, message: str, state_tokens=(), tape_tokens=()):
-        super().__init__(message)
-        self.state_tokens = tuple(state_tokens)
-        self.tape_tokens = tuple(tape_tokens)
-
 
 class MalformedEncoding(QidsError):
     """A memory string does not decode to a unique machine configuration."""

@@ -11,17 +11,16 @@ under extension, which is what the amplified search in `driver` relies on.
 System definition files are JSON objects with fields `alphabet` (list of
 single-character strings), `rules` (ordered list of {"pre": str, "post":
 str}), `initial` (list of strings), `goals` (list of strings) and
-`max_memory_len` (int, default 64). Two optional fields select matching
-behaviour: `rule_match` ("substring" | "exact", default "substring") and
-`goal_match` ("exact" | "substring", default "exact"). Unknown fields are
-rejected.
+`max_memory_len` (int, default 64). The optional field `goal_match`
+("exact" | "substring", default "exact") says whether a goal must equal the
+whole memory or occur in it. Unknown fields are rejected.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +30,6 @@ from .jsonfields import (check_object, load_json_file, read_field, read_list_of,
                          save_json_file)
 from .limits import check_size, sim_cap
 
-RULE_MATCH_MODES = ("substring", "exact")
 GOAL_MATCH_MODES = ("exact", "substring")
 
 RuleSequence = tuple[int, ...]
@@ -51,9 +49,6 @@ class Alphabet:
                 raise InputError(f"alphabet symbol {sym!r} is not a printable character")
         if len(set(self.symbols)) != len(self.symbols):
             raise InputError("alphabet contains duplicate symbols")
-
-    def __contains__(self, sym: str) -> bool:
-        return sym in self.symbols
 
     def check_string(self, s: str, what: str) -> None:
         for ch in s:
@@ -88,7 +83,6 @@ class ProductionSystem:
     initial_states: tuple[str, ...]
     goal_states: tuple[str, ...]
     max_memory_len: int = 64
-    rule_match: str = "substring"
     goal_match: str = "exact"
 
     def __post_init__(self):
@@ -102,8 +96,6 @@ class ProductionSystem:
             raise InputError("duplicate goal states")
         if self.max_memory_len < 1:
             raise InputError("max_memory_len must be positive")
-        if self.rule_match not in RULE_MATCH_MODES:
-            raise InputError(f"rule_match must be one of {RULE_MATCH_MODES}")
         if self.goal_match not in GOAL_MATCH_MODES:
             raise InputError(f"goal_match must be one of {GOAL_MATCH_MODES}")
         for rule in self.rules:
@@ -147,23 +139,6 @@ class ClassicalSearchResult:
     nodes_expanded: int
 
 
-def _rewrite(memory: str, pre: str, post: str, exact: bool) -> str | None:
-    """One rewrite step with no checks: the result, or None if the rule does not match.
-
-    Substring mode rewrites the leftmost occurrence of `pre`; exact mode
-    requires `pre` to equal the whole memory. A rewrite of strings over the
-    alphabet by rules over the alphabet stays in it, so once the rules (at
-    construction) and the start string (once per walk) are checked, no step
-    needs an alphabet check. The caller compares the result's length with
-    `max_memory_len`.
-    """
-    if exact:
-        return post if memory == pre else None
-    if pre in memory:
-        return memory.replace(pre, post, 1)
-    return None
-
-
 def _goal_test(system: ProductionSystem) -> Callable[[str], bool]:
     """The system's goal predicate on a memory string, built once per walk."""
     if system.goal_match == "exact":
@@ -173,18 +148,19 @@ def _goal_test(system: ProductionSystem) -> Callable[[str], bool]:
 
 
 def apply_rule(system: ProductionSystem, memory: str, rule: Rule) -> str | None:
-    """Apply one rule to a memory string, or return None if it does not match.
+    """Rewrite the leftmost occurrence of the rule's precondition, or return None.
 
-    Substring mode rewrites the leftmost occurrence of the precondition;
-    exact mode requires the precondition to equal the whole memory. The
-    checked entry point: the rule and the memory must be over the alphabet,
+    None means the precondition does not occur in the memory. The checked
+    entry point: the rule and the memory must be over the alphabet,
     and a result longer than `max_memory_len` raises MemoryOverflow.
     """
     system.alphabet.check_string(rule.precondition, "rule precondition")
     system.alphabet.check_string(rule.action, "rule action")
     system.alphabet.check_string(memory, "working memory")
-    result = _rewrite(memory, rule.precondition, rule.action, system.rule_match == "exact")
-    if result is not None and len(result) > system.max_memory_len:
+    if rule.precondition not in memory:
+        return None
+    result = memory.replace(rule.precondition, rule.action, 1)
+    if len(result) > system.max_memory_len:
         raise MemoryOverflow(
             f"rewrite to {len(result)} symbols exceeds capacity {system.max_memory_len}"
         )
@@ -195,7 +171,6 @@ def _walk(system: ProductionSystem, start: str, seq: Sequence[int]) -> Execution
     """Apply a sequence of rule indices, tracking the shallowest goal hit."""
     system.alphabet.check_string(start, "start state")
     b = system.branching_factor
-    exact = system.rule_match == "exact"
     is_goal = _goal_test(system)
     memory = start
     trace = [memory]
@@ -206,10 +181,10 @@ def _walk(system: ProductionSystem, start: str, seq: Sequence[int]) -> Execution
         if not 0 <= idx < b:
             raise InputError(f"rule index {idx} out of range for {b} rules")
         rule = system.rules[idx]
-        nxt = _rewrite(memory, rule.precondition, rule.action, exact)
-        if nxt is None:
+        if rule.precondition not in memory:
             stop_reason = "inapplicable"
             break
+        nxt = memory.replace(rule.precondition, rule.action, 1)
         if len(nxt) > system.max_memory_len:
             stop_reason = "overflow"
             break
@@ -312,9 +287,11 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
     A depth-first walk with O(d) memory that shares rewriting work across
     common prefixes: once a prefix halts the whole subtree is marked without
     descending, and a dead prefix (inapplicable rule or overflow) zeroes its
-    subtree. The start string is checked once; every step is an unchecked
-    `_rewrite`. The bitmap is read-only and cached (`marked_vector.cache_clear()`
-    empties the cache).
+    subtree. A rewrite of a string over the alphabet by a rule over the
+    alphabet stays in it, so once the rules (at construction) and the start
+    string (once per walk) are checked, no step needs an alphabet check; this
+    holds for every walk in this module. The bitmap is read-only and cached
+    (`marked_vector.cache_clear()` empties the cache).
     """
     b = system.branching_factor
     n = b**d
@@ -322,7 +299,6 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
     system.alphabet.check_string(start, "start state")
     marks = np.zeros(n, dtype=bool)
     pairs = [(rule.precondition, rule.action) for rule in system.rules]
-    exact = system.rule_match == "exact"
     max_len = system.max_memory_len
     is_goal = _goal_test(system)
     spans = [b ** (d - depth) for depth in range(d + 1)]
@@ -336,12 +312,16 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
         depth += 1
         child_span = spans[depth]
         for pre, post in pairs:
-            nxt = _rewrite(memory, pre, post, exact)
-            if nxt is not None and len(nxt) <= max_len:
-                fill(nxt, depth, base)
+            if pre in memory:
+                nxt = memory.replace(pre, post, 1)
+                if len(nxt) <= max_len:
+                    fill(nxt, depth, base)
             base += child_span
 
-    fill(start, 0, 0)
+    try:
+        fill(start, 0, 0)
+    finally:
+        del fill  # it reaches itself through its cell; without this, `marks` waits for the cyclic GC
     marks.flags.writeable = False
     return marks
 
@@ -360,7 +340,6 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
     check_walk_depth(depth_cap)
     system.alphabet.check_string(start, "start state")
     pairs = [(rule.precondition, rule.action) for rule in system.rules]
-    exact = system.rule_match == "exact"
     max_len = system.max_memory_len
     is_goal = _goal_test(system)
     budget = sim_cap()
@@ -376,8 +355,10 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
         if expanded > budget:
             raise SizeLimit(f"classical search would expand more than the cap of {budget} nodes")
         for i, (pre, post) in enumerate(pairs):
-            nxt = _rewrite(memory, pre, post, exact)
-            if nxt is None or len(nxt) > max_len:
+            if pre not in memory:
+                continue
+            nxt = memory.replace(pre, post, 1)
+            if len(nxt) > max_len:
                 continue
             path.append(i)
             hit = dls(nxt, path, limit)
@@ -386,11 +367,15 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
                 return hit
         return None
 
-    for limit in range(depth_cap + 1):
-        witness = dls(start, [], limit)
-        if witness is not None:
-            return ClassicalSearchResult(True, len(witness), witness, expanded)
-    return ClassicalSearchResult(False, None, None, expanded)
+    try:
+        for limit in range(depth_cap + 1):
+            witness = dls(start, [], limit)
+            if witness is not None:
+                return ClassicalSearchResult(True, len(witness), witness, expanded)
+        return ClassicalSearchResult(False, None, None, expanded)
+    finally:
+        del dls  # break the closure's cycle through its own cell, as in marked_vector
+
 
 
 @dataclass
@@ -399,8 +384,7 @@ class DeterministicTrace:
 
     trace: list[str]
     goal_step: int | None
-    rule_steps: list[int] = field(default_factory=list)
-    stop_reason: str = "stuck"  # "goal" | "stuck" | "cap" | "overflow"
+    stop_reason: str  # "goal" | "stuck" | "cap" | "overflow"
 
 
 def deterministic_trace(system: ProductionSystem, start: str, max_steps: int) -> DeterministicTrace:
@@ -413,32 +397,28 @@ def deterministic_trace(system: ProductionSystem, start: str, max_steps: int) ->
     """
     system.alphabet.check_string(start, "start state")
     pairs = [(rule.precondition, rule.action) for rule in system.rules]
-    exact = system.rule_match == "exact"
     is_goal = _goal_test(system)
     memory = start
     trace = [memory]
-    rule_steps: list[int] = []
     if is_goal(memory):
-        return DeterministicTrace(trace, 0, rule_steps, "goal")
+        return DeterministicTrace(trace, 0, "goal")
     for step in range(1, max_steps + 1):
-        for i, (pre, post) in enumerate(pairs):
-            nxt = _rewrite(memory, pre, post, exact)
-            if nxt is not None:
+        for pre, post in pairs:
+            if pre in memory:
+                nxt = memory.replace(pre, post, 1)
                 break
         else:
-            return DeterministicTrace(trace, None, rule_steps, "stuck")
+            return DeterministicTrace(trace, None, "stuck")
         if len(nxt) > system.max_memory_len:
-            return DeterministicTrace(trace, None, rule_steps, "overflow")
-        rule_steps.append(i)
+            return DeterministicTrace(trace, None, "overflow")
         memory = nxt
         trace.append(memory)
         if is_goal(memory):
-            return DeterministicTrace(trace, step, rule_steps, "goal")
-    return DeterministicTrace(trace, None, rule_steps, "cap")
+            return DeterministicTrace(trace, step, "goal")
+    return DeterministicTrace(trace, None, "cap")
 
 
-_SYSTEM_FIELDS = {"alphabet", "rules", "initial", "goals", "max_memory_len",
-                  "rule_match", "goal_match"}
+_SYSTEM_FIELDS = {"alphabet", "rules", "initial", "goals", "max_memory_len", "goal_match"}
 _RULE_FIELDS = {"pre", "post"}
 
 
@@ -456,7 +436,6 @@ def system_from_dict(data: dict) -> ProductionSystem:
         initial_states=read_list_of(data, "initial", str, "system"),
         goal_states=read_list_of(data, "goals", str, "system"),
         max_memory_len=read_field(data, "max_memory_len", int, "system", 64),
-        rule_match=read_field(data, "rule_match", str, "system", "substring"),
         goal_match=read_field(data, "goal_match", str, "system", "exact"),
     )
 
@@ -468,7 +447,6 @@ def system_to_dict(system: ProductionSystem) -> dict:
         "initial": list(system.initial_states),
         "goals": list(system.goal_states),
         "max_memory_len": system.max_memory_len,
-        "rule_match": system.rule_match,
         "goal_match": system.goal_match,
     }
 
@@ -480,21 +458,3 @@ def load_system(path) -> ProductionSystem:
 
 def save_system(system: ProductionSystem, path) -> None:
     save_json_file(system_to_dict(system), path)
-
-
-def tree_system(depth: int, goal_word: str = "aba") -> ProductionSystem:
-    """Binary tree-search system with a single goal at the given depth.
-
-    Two always-applicable rules grow a word one letter at a time by rewriting
-    the end marker, so every depth-d string is distinct and the unique goal
-    word of length `depth` is reachable by exactly one sequence.
-    """
-    if len(goal_word) != depth or set(goal_word) - {"a", "b"}:
-        raise InputError("goal_word must be over {a,b} and of length `depth`")
-    return ProductionSystem(
-        alphabet=Alphabet(("a", "b", "E")),
-        rules=(Rule("E", "aE"), Rule("E", "bE")),
-        initial_states=("E",),
-        goal_states=(goal_word + "E",),
-        max_memory_len=max(depth + 8, 16),
-    )

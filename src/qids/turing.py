@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EncodingClash, InputError, MalformedEncoding, TapeOverflow
-from .jsonfields import (check_object, load_json_file, read_field, read_list_of,
-                         save_json_file)
+from .jsonfields import check_object, load_json_file, read_field, read_list_of
 from .production import Alphabet, ProductionSystem, Rule
 
 MOVES = ("L", "R", "S")
@@ -113,10 +112,6 @@ class TuringMachineSpec:
 
     def actions(self, state: str, sym: str) -> tuple[DeltaEntry, ...]:
         return self._table.get((state, sym), ())
-
-    @property
-    def is_deterministic(self) -> bool:
-        return all(len(v) == 1 for v in self._table.values())
 
 
 @dataclass(frozen=True)
@@ -212,22 +207,18 @@ def decode_config(tm: TuringMachineSpec, memory: str) -> TMConfiguration:
 
 
 def _check_encodable(tm: TuringMachineSpec) -> None:
-    state_tokens = set(tm.states)
-    tape_tokens = set(tm.tape_alphabet)
+    states = set(tm.states)
+    symbols = set(tm.tape_alphabet)
     problems = []
     if any(len(s) != 1 for s in tm.states):
         problems.append("state names must be single characters")
-    if state_tokens & tape_tokens:
-        problems.append(f"states and tape symbols overlap: {sorted(state_tokens & tape_tokens)}")
+    if states & symbols:
+        problems.append(f"states and tape symbols overlap: {sorted(states & symbols)}")
     for marker in (LEFT_MARKER, RIGHT_MARKER):
-        if marker in state_tokens or marker in tape_tokens:
+        if marker in states or marker in symbols:
             problems.append(f"marker {marker!r} collides with a machine token")
     if problems:
-        raise EncodingClash(
-            "; ".join(problems),
-            state_tokens=sorted(state_tokens),
-            tape_tokens=sorted(tape_tokens),
-        )
+        raise EncodingClash("; ".join(problems))
 
 
 def initial_memory(tm: TuringMachineSpec, input_tape: str = "") -> str:
@@ -267,7 +258,6 @@ def compile_tm(tm: TuringMachineSpec, input_tapes: tuple[str, ...] = ("",)) -> P
         initial_states=tuple(initial_memory(tm, tape) for tape in input_tapes),
         goal_states=tuple(sorted(tm.halts)),
         max_memory_len=tm.tape_window + 3,
-        rule_match="substring",
         goal_match="substring",
     )
 
@@ -294,21 +284,6 @@ def tm_from_dict(data: dict) -> TuringMachineSpec:
     )
 
 
-def tm_to_dict(tm: TuringMachineSpec) -> dict:
-    return {
-        "states": list(tm.states),
-        "start": tm.start,
-        "halts": sorted(tm.halts),
-        "blank": tm.blank,
-        "tape_alphabet": list(tm.tape_alphabet),
-        "delta": [[e.state, e.read, e.next_state, e.write, e.move] for e in tm.entries],
-        "tape_window": tm.tape_window,
-    }
-
-
 def load_tm(path) -> TuringMachineSpec:
     return load_json_file(path, tm_from_dict)
 
-
-def save_tm(tm: TuringMachineSpec, path) -> None:
-    save_json_file(tm_to_dict(tm), path)

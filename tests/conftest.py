@@ -4,7 +4,24 @@ import numpy as np
 import pytest
 
 from qids.limits import check_size
-from qids.production import Alphabet, ProductionSystem, Rule, tree_system
+from qids.production import Alphabet, ProductionSystem, Rule
+
+
+def tree_system(depth: int, goal_word: str = "aba") -> ProductionSystem:
+    """Binary tree-search system with a single goal at the given depth.
+
+    Two always-applicable rules grow a word one letter at a time by rewriting
+    the end marker, so every depth-d string is distinct and the unique goal
+    word of length `depth` is reachable by exactly one sequence.
+    """
+    assert len(goal_word) == depth and not set(goal_word) - {"a", "b"}
+    return ProductionSystem(
+        alphabet=Alphabet(("a", "b", "E")),
+        rules=(Rule("E", "aE"), Rule("E", "bE")),
+        initial_states=("E",),
+        goal_states=(goal_word + "E",),
+        max_memory_len=max(depth + 8, 16),
+    )
 
 
 @pytest.fixture
@@ -31,8 +48,7 @@ def make_system(rules, start="A", goals=("B",), alphabet="ABCxy", max_len=16,
     )
 
 
-def random_system(rng, b=2, n_letters=3, max_len=20, rule_match="substring",
-                  goal_match="exact"):
+def random_system(rng, b=2, n_letters=3, max_len=20, goal_match="exact"):
     """Unstructured random rewriting system for property tests; a small
     `max_len` makes rewrites overflow."""
     letters = tuple("abc"[:n_letters])
@@ -49,7 +65,6 @@ def random_system(rng, b=2, n_letters=3, max_len=20, rule_match="substring",
         initial_states=(start,),
         goal_states=(goal,),
         max_memory_len=max_len,
-        rule_match=rule_match,
         goal_match=goal_match,
     ), start
 

@@ -251,7 +251,7 @@ def test_search_on_nondeterministic_compiled_machine():
         ),
         tape_window=12,
     )
-    assert not tm.is_deterministic
+    assert len(tm.actions("g", "_")) == 2
     system = compile_tm(tm)
     start = initial_memory(tm, "")
     applicable = [r for r in system.rules if apply_rule(system, start, r) is not None]

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import tree_system
 from qids.errors import InputError, KZero, SizeLimit
 from qids.grover import (amplified_probabilities, amplified_state,
                          apply_diffusion, apply_oracle, grover_iterate,
                          literal_iterations, marked_mass, optimal_iterations,
                          predicted_success_asymptotic, predicted_success_exact,
                          simulated_success)
-from qids.production import marked_vector, tree_system
+from qids.production import marked_vector
 from qids.statevector import prepare_halt_minus, uniform_superposition
 
 

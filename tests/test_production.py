@@ -1,21 +1,24 @@
 """Rewriting semantics, path enumeration, and the classical search baselines."""
 
+import gc
 import itertools
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_paths, make_system, random_system, sequence_to_index
+from conftest import (enumerate_paths, make_system, random_system, sequence_to_index,
+                      tree_system)
 from qids.errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
 from qids.production import (MAX_WALK_DEPTH, Alphabet, Rule, apply_rule, classical_ids,
                              deterministic_trace, execute_sequence,
                              halting_predicate, index_to_sequence, load_system,
                              marked_vector, save_system, system_from_dict,
-                             system_to_dict, tree_system)
+                             system_to_dict)
 
 
 # --- independent oracles -----------------------------------------------------
@@ -95,7 +98,7 @@ def test_system_validation():
     with pytest.raises(AlphabetMismatch):
         make_system([("A", "Z")])  # action off-alphabet
     with pytest.raises(InputError):
-        make_system([("A", "B")], rule_match="fuzzy")
+        make_system([("A", "B")], goal_match="fuzzy")
 
 
 # --- apply_rule --------------------------------------------------------------
@@ -113,12 +116,6 @@ def test_apply_rule_leftmost_tiebreak():
 def test_apply_rule_no_match():
     system = make_system([("AB", "C")])
     assert apply_rule(system, "xy", system.rules[0]) is None
-
-
-def test_apply_rule_exact_mode():
-    system = make_system([("AB", "C")], rule_match="exact")
-    assert apply_rule(system, "AB", system.rules[0]) == "C"
-    assert apply_rule(system, "xABy", system.rules[0]) is None
 
 
 def test_apply_rule_overflow():
@@ -254,14 +251,12 @@ def test_marked_vector_matches_predicate(fig_tree):
 # two or three letters and a memory of 3 or 4 symbols make overflow common
 @settings(max_examples=400, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), b=st.integers(2, 3), n_letters=st.integers(2, 3),
-       max_len=st.integers(3, 4), rule_match=st.sampled_from(("substring", "exact")),
-       goal_match=st.sampled_from(("exact", "substring")))
-def test_marking_walk_matches_reference(seed, b, n_letters, max_len, rule_match, goal_match):
+       max_len=st.integers(3, 4), goal_match=st.sampled_from(("exact", "substring")))
+def test_marking_walk_matches_reference(seed, b, n_letters, max_len, goal_match):
     """The unchecked walk's bitmap is the halting predicate on every sequence, and
     classical_ids's d* is the first depth whose bitmap has marks."""
     system, start = random_system(np.random.default_rng(seed), b=b, n_letters=n_letters,
-                                  max_len=max_len, rule_match=rule_match,
-                                  goal_match=goal_match)
+                                  max_len=max_len, goal_match=goal_match)
     cap = 6 if b == 2 else 5
     first_marked = None
     for d in range(cap + 1):
@@ -296,6 +291,23 @@ def test_marking_cache_is_bounded_by_bytes(monkeypatch):
     assert again is not first and np.array_equal(again, first)
     marked_vector.cache_clear()
     assert marked_vector(system, "E", 10) is not again
+
+
+def test_walks_leave_nothing_for_the_cyclic_gc():
+    """A cleared bitmap is freed at once, and a classical search leaves no cycle."""
+    marked_vector.cache_clear()
+    system = tree_system(8, "ab" * 4)
+    gc.collect()
+    gc.disable()
+    try:
+        bitmap = weakref.ref(marked_vector(system, "E", 8))
+        assert bitmap() is not None
+        marked_vector.cache_clear()
+        assert bitmap() is None
+        classical_ids(system, "E", 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- classical_ids ------------------------------------------------------------
@@ -355,7 +367,7 @@ def test_ids_agrees_with_bfs(trial):
 def test_deterministic_trace_fires_lowest_rule_first():
     system = make_system([("A", "B"), ("A", "C")], goals=("B",))
     out = deterministic_trace(system, "A", 5)
-    assert out.trace == ["A", "B"] and out.goal_step == 1 and out.rule_steps == [0]
+    assert out.trace == ["A", "B"] and out.goal_step == 1
 
 
 def test_deterministic_trace_stuck_and_cap():
@@ -408,6 +420,5 @@ def test_system_file_default_matching_modes(tmp_path):
         "goals": ["B"],
     }))
     system = load_system(path)
-    assert system.rule_match == "substring"
     assert system.goal_match == "exact"
     assert system.max_memory_len == 64

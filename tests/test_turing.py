@@ -1,5 +1,8 @@
 """Machine execution, the rules compiler, and the step-for-step bisimulation."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,7 @@ from qids.errors import EncodingClash, InputError, MalformedEncoding, TapeOverfl
 from qids.production import classical_ids, deterministic_trace, execute_sequence
 from qids.turing import (DeltaEntry, TMConfiguration, TuringMachineSpec,
                          compile_tm, decode_config, encode_config,
-                         initial_memory, load_tm, save_tm, tm_from_dict,
-                         tm_to_dict, tm_trace)
+                         initial_memory, tm_from_dict, tm_trace)
 from qids.verify import tm_corpus
 
 
@@ -48,7 +50,7 @@ def test_blank_must_be_on_tape():
 def test_nondeterministic_machine_flagged():
     tm = make_tm([("q", "1", "q", "1", "R"), ("q", "1", "h", "1", "S"),
                   ("q", "_", "h", "_", "S")])
-    assert not tm.is_deterministic
+    assert len(tm.actions("q", "1")) == 2
     with pytest.raises(InputError, match="deterministic"):
         tm_trace(tm, "1", 10)
 
@@ -169,7 +171,7 @@ def test_encoding_clash_on_overlapping_tokens():
                  states=("1", "h"), start="1")
     with pytest.raises(EncodingClash) as err:
         compile_tm(tm)
-    assert "1" in err.value.state_tokens
+    assert "overlap: ['1']" in str(err.value)
 
 
 def test_encoding_clash_on_multichar_state():
@@ -228,21 +230,18 @@ def test_edge_overflow_matches_compiled():
 
 # --- machine files --------------------------------------------------------------------
 
-def test_tm_file_round_trip(tmp_path, unary_inc):
-    path = tmp_path / "machine.json"
-    save_tm(unary_inc, path)
-    assert load_tm(path) == unary_inc
+UNARY_TM = Path(__file__).resolve().parent.parent / "demos" / "unary_increment.tm.json"
 
 
-def test_tm_dict_rejects_unknown_fields(unary_inc):
-    data = tm_to_dict(unary_inc)
+def test_tm_dict_rejects_unknown_fields():
+    data = json.loads(UNARY_TM.read_text())
     data["nickname"] = "adder"
     with pytest.raises(InputError, match="nickname"):
         tm_from_dict(data)
 
 
-def test_tm_dict_rejects_malformed_delta(unary_inc):
-    data = tm_to_dict(unary_inc)
+def test_tm_dict_rejects_malformed_delta():
+    data = json.loads(UNARY_TM.read_text())
     data["delta"][0] = ["q", "1", "q"]
     with pytest.raises(InputError, match="delta"):
         tm_from_dict(data)
