@@ -28,7 +28,7 @@ from .grover import (optimal_iterations, predicted_success_asymptotic,
                      predicted_success_exact, simulated_success)
 from .jsonfields import save_json_file
 from .limits import check_float_range, sim_cap
-from .production import classical_ids, execute_sequence, load_system, save_system
+from .production import classical_ids, load_system, save_system
 from .statevector import halt_timing_demo, measure
 from .turing import compile_tm, load_tm
 from .verify import run_checks, ALL_CHECKS
@@ -129,23 +129,7 @@ def _cmd_run(args) -> int:
     system = load_system(args.system)
     start = args.start if args.start is not None else system.initial_states[0]
     if args.classical:
-        cap = args.depth_cap if args.depth_cap is not None else 12
-        result = classical_ids(system, start, cap)
-        payload = {
-            "schema": "qids.classical-report/1",
-            "outcome": "found" if result.found else "cap_exceeded",
-            "d_star": result.d_star,
-            "witness": list(result.witness) if result.witness is not None else None,
-            "goal_state": None,
-            "nodes_expanded": result.nodes_expanded,
-        }
-        if result.found:
-            replay = execute_sequence(system, start, result.witness)
-            payload["goal_state"] = replay.trace[replay.halt_depth]
-        if not args.no_timestamp:
-            payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        text = json.dumps(payload, indent=2) + "\n"
-        found = result.found
+        report = classical_ids(system, start, 12 if args.depth_cap is None else args.depth_cap)
     else:
         config = QidConfig(
             seed=args.seed,
@@ -156,13 +140,12 @@ def _cmd_run(args) -> int:
         )
         with _log_to_stderr(args.verbose):
             report = quantum_iterative_deepening(system, start, config)
-        text = report_to_json(report, include_volatile=not args.no_timestamp)
-        found = report.found
+    text = report_to_json(report, include_volatile=not args.no_timestamp)
     sys.stdout.write(text)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return EXIT_OK if found else EXIT_CAP
+    return EXIT_OK if report.found else EXIT_CAP
 
 
 def _cmd_compile_tm(args) -> int:

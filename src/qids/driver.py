@@ -26,11 +26,11 @@ optimal iterate policy the cumulative oracle-call count through depth d
 stays within 4 * sqrt(b**d) for any branching factor b >= 2: the budget
 that `within_call_budget` states and `cumulative_calls` tabulates.
 
-Reports serialise to JSON ("qids.search-report/1") straight from the
-`SearchReport`, `DepthRecord` and `QidConfig` fields, which are the format;
-qids writes reports and never reads them back. The volatile fields
-(wall time, timestamp) can be suppressed so reports from identical seeded
-runs compare byte-for-byte.
+`report_to_json` writes the reports of both searches, a `SearchReport` or a
+`production.ClassicalSearchResult`, straight from their fields, which are
+the format; qids writes reports and never reads them back. The volatile
+fields (wall time, timestamp) can be suppressed so reports from identical
+seeded runs compare byte-for-byte.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,13 +49,11 @@ from .errors import InputError, SizeLimit
 from .grover import (amplified_probabilities, amplified_weights, literal_iterations,
                      optimal_iterations, predicted_success_exact)
 from .limits import check_float_range, sim_cap
-from .production import (ProductionSystem, RuleSequence, check_walk_depth,
+from .production import (ClassicalSearchResult, ProductionSystem, RuleSequence, check_walk_depth,
                          execute_sequence, index_to_sequence, marked_vector)
 from .statevector import check_total, sample_index
 
 log = logging.getLogger(__name__)
-
-REPORT_SCHEMA = "qids.search-report/1"
 
 COUNTING_MODES = ("exact", "assume_one")
 ITERATE_POLICIES = ("optimal", "faithful")
@@ -107,6 +106,8 @@ class DepthRecord:
 
 @dataclass
 class SearchReport:
+    SCHEMA: ClassVar[str] = "qids.search-report/1"
+
     found: bool
     d_star: int | None
     witness: RuleSequence | None
@@ -301,14 +302,12 @@ def report_within_call_budget(report: SearchReport, b: int) -> bool:
     return within_call_budget(total, b, report.per_depth[-1].depth)
 
 
-def report_to_dict(report: SearchReport, include_volatile: bool = True) -> dict:
-    data = {"schema": REPORT_SCHEMA, "outcome": report.outcome, **asdict(report)}
+def report_to_json(report: SearchReport | ClassicalSearchResult,
+                   include_volatile: bool = True) -> str:
+    """The report's schema, outcome and own fields, nested records too, as indented JSON."""
+    data = {"schema": report.SCHEMA, "outcome": report.outcome, **vars(report)}
     if include_volatile:
         data["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     else:
-        del data["wall_time_s"]
-    return data
-
-
-def report_to_json(report: SearchReport, include_volatile: bool = True) -> str:
-    return json.dumps(report_to_dict(report, include_volatile), indent=2) + "\n"
+        data.pop("wall_time_s", None)
+    return json.dumps(data, indent=2, default=vars) + "\n"

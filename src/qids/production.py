@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -131,12 +131,27 @@ class ExecutionResult:
 
 @dataclass
 class ClassicalSearchResult:
-    """Result of classical iterative deepening."""
+    """Result of classical iterative deepening; `driver.report_to_json` writes it.
 
-    found: bool
+    d_star is the minimal goal depth, witness one sequence of that length and
+    goal_state the memory it reaches; all three are None when no goal lies
+    within the depth cap. nodes_expanded counts expansions over all rounds.
+    """
+
+    SCHEMA: ClassVar[str] = "qids.classical-report/1"
+
     d_star: int | None
     witness: RuleSequence | None
+    goal_state: str | None
     nodes_expanded: int
+
+    @property
+    def found(self) -> bool:
+        return self.d_star is not None
+
+    @property
+    def outcome(self) -> str:
+        return "found" if self.found else "cap_exceeded"
 
 
 def _goal_test(system: ProductionSystem) -> Callable[[str], bool]:
@@ -327,28 +342,26 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
 
 
 def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> ClassicalSearchResult:
-    """Classical iterative deepening over the rule tree.
+    """Classical iterative deepening over the rule tree from one of the initial states.
 
-    Returns the minimal depth d* at which a goal state occurs, one witness
-    sequence of that length, and the total number of node expansions across
-    all deepening rounds. found=False when no goal exists within depth_cap.
     The expansions are held to `sim_cap()`, the most leaves the marking
     walk's bitmap may have; past that the search raises SizeLimit.
     """
     if depth_cap < 0:
         raise InputError("depth_cap must be >= 0")
     check_walk_depth(depth_cap)
-    system.alphabet.check_string(start, "start state")
+    if start not in system.initial_states:
+        raise InputError(f"start {start!r} is not one of the system's initial states")
     pairs = [(rule.precondition, rule.action) for rule in system.rules]
     max_len = system.max_memory_len
     is_goal = _goal_test(system)
     budget = sim_cap()
     expanded = 0
 
-    def dls(memory: str, path: list[int], limit: int) -> RuleSequence | None:
+    def dls(memory: str, path: list[int], limit: int) -> tuple[RuleSequence, str] | None:
         nonlocal expanded
         if is_goal(memory):
-            return tuple(path)
+            return tuple(path), memory
         if len(path) == limit:
             return None
         expanded += 1
@@ -369,10 +382,11 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
 
     try:
         for limit in range(depth_cap + 1):
-            witness = dls(start, [], limit)
-            if witness is not None:
-                return ClassicalSearchResult(True, len(witness), witness, expanded)
-        return ClassicalSearchResult(False, None, None, expanded)
+            hit = dls(start, [], limit)
+            if hit is not None:
+                witness, goal_state = hit
+                return ClassicalSearchResult(len(witness), witness, goal_state, expanded)
+        return ClassicalSearchResult(None, None, None, expanded)
     finally:
         del dls  # break the closure's cycle through its own cell, as in marked_vector
 

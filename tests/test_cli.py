@@ -188,6 +188,13 @@ def test_run_depth_cap_past_the_walk_depth_bound_exits_1(capsys, tmp_path, extra
     assert err.startswith("error:") and "walk-depth bound" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--classical",)])
+def test_run_start_outside_the_initial_states_exits_1(capsys, extra):
+    code, out, err = run_cli(capsys, "run", TREE, "--seed", "1", "--start", "aE", *extra)
+    assert code == 1 and out == ""
+    assert err == "error: start 'aE' is not one of the system's initial states\n"
+
+
 def test_run_byte_identical_without_timestamp(capsys):
     _, first, _ = run_cli(capsys, "run", TREE, "--seed", "7", "--depth-cap", "5",
                           "--no-timestamp")
@@ -491,6 +498,46 @@ def test_cli_fuzz_never_raises(capsys, monkeypatch, tmp_path, system, argv, sim_
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith(("error:", "usage:"))
+
+
+_MACHINE = json.loads(Path(UNARY_TM).read_text(encoding="utf-8"))
+
+
+@st.composite
+def _machine_dicts(draw):
+    """The unary-increment machine as it is, with one field replaced by an
+    arbitrary JSON value, or with one cell of a delta row replaced by a state,
+    tape or marker symbol (a move for the last cell)."""
+    data = json.loads(json.dumps(_MACHINE))
+    change = draw(st.sampled_from(["none", "field", "cell"]))
+    if change == "field":
+        data[draw(st.sampled_from(sorted(data)))] = draw(_JSON_VALUES)
+    elif change == "cell":
+        row = draw(st.sampled_from(data["delta"]))
+        cell = draw(st.integers(0, 4))
+        row[cell] = draw(st.sampled_from("LRSX" if cell == 4 else "qh1_^$x"))
+    return data
+
+
+# tape words over the tape symbols, and over a state token and the markers too
+_TAPES = st.text("1_", max_size=4) | st.text("1_q^$", max_size=4)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(machine=_machine_dicts(), tapes=st.lists(_TAPES, max_size=2))
+def test_cli_fuzz_compile_tm_never_raises(capsys, tmp_path, machine, tapes):
+    machine_path, system_path = tmp_path / "machine.json", tmp_path / "system.json"
+    machine_path.write_text(json.dumps(machine))
+    tape_args = [arg for tape in tapes for arg in ("--tape", tape)]
+    code, _, err = run_cli(capsys, "compile-tm", str(machine_path), "-o", str(system_path),
+                           *tape_args)
+    assert code in (0, 1) and (code == 0 or err.startswith("error:"))
+    if code == 0:
+        for extra in ((), ("--classical",)):
+            code, _, err = run_cli(capsys, "run", str(system_path), "--seed", "1",
+                                   "--depth-cap", "3", "--no-timestamp", *extra)
+            assert code in (0, 1, 2) and (code != 1 or err.startswith("error:"))
 
 
 # --- start-up -------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_system
 from qids import driver
 from qids.driver import (QidConfig, cumulative_calls, depth_rng, draw, measure,
-                         quantum_iterative_deepening, report_to_dict, report_to_json,
+                         quantum_iterative_deepening, report_to_json,
                          report_within_call_budget, within_call_budget)
 from qids.errors import InputError, NormDrift, SizeLimit
 from qids.grover import (amplified_probabilities, amplified_weights, optimal_iterations,
@@ -66,7 +66,17 @@ def test_unsatisfiable_reports_cap_exceeded():
 def test_determinism_same_seed_same_report(fig_tree):
     a = run(fig_tree, "E", seed=77)
     b = run(fig_tree, "E", seed=77)
-    assert report_to_dict(a, include_volatile=False) == report_to_dict(b, include_volatile=False)
+    assert report_to_json(a, include_volatile=False) == report_to_json(b, include_volatile=False)
+
+
+def test_writing_without_volatile_fields_leaves_the_report_alone(fig_tree):
+    report = run(fig_tree, "E", seed=77)
+    wall = report.wall_time_s
+    first = report_to_json(report, include_volatile=False)
+    assert report_to_json(report, include_volatile=False) == first
+    assert report.wall_time_s == wall and "wall_time_s" not in first
+    volatile = report_to_json(report)
+    assert '"wall_time_s"' in volatile and '"timestamp"' in volatile
 
 
 def test_depth_rng_split_is_stable():

@@ -35,6 +35,12 @@ CLI_CASES = {
     "halt_timing_demo_flaw_seed5": ["demo-flaw", str(DEMOS / "halt_timing.json"),
                                     "-d", "3", "--step-cap", "8", "--seed", "5"],
     "unary_increment_seed11": ["run", "{compiled}", "--seed", "11", "--depth-cap", "9"],
+    "tree_search_seed1_classical": ["run", str(DEMOS / "tree_search.json"), "--seed", "1",
+                                    "--classical", "--depth-cap", "6"],
+    "unsatisfiable_seed3_classical": ["run", str(DEMOS / "unsatisfiable.json"), "--seed", "3",
+                                      "--classical", "--depth-cap", "6"],
+    "unary_increment_seed11_classical": ["run", "{compiled}", "--seed", "11", "--classical",
+                                         "--depth-cap", "9"],
 }
 
 CORPUS_ENTRIES = range(8)
