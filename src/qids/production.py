@@ -295,6 +295,17 @@ def _byte_bounded_cache(walk):
     return cached
 
 
+def _goal_in_reach(system: ProductionSystem, n0: int, d: int) -> bool:
+    """Whether some goal's length lies in the reach of `d` rewrites of a length-`n0` start."""
+    steps = [len(rule.action) - len(rule.precondition) for rule in system.rules]
+    low = min(n0, n0 + d * min(steps)) if system.goal_match == "exact" else 0
+    high = max(n0, min(n0 + d * max(steps), system.max_memory_len))
+    for goal in system.goal_states:
+        if low <= len(goal) <= high:
+            return True
+    return False
+
+
 @_byte_bounded_cache
 def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
     """Halting bit for every depth-d sequence; entry i is `index_to_sequence(i, b, d)`.
@@ -307,6 +318,15 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
     string (once per walk) are checked, no step needs an alphabet check; this
     holds for every walk in this module. The bitmap is read-only and cached
     (`marked_vector.cache_clear()` empties the cache).
+
+    The walk is skipped, leaving the bitmap all zero, when no goal's length is
+    in reach. Each rewrite changes the length by a rule step
+    `len(action) - len(precondition)`, so the memories within `d` rewrites of
+    a length-`n0` start have lengths from `min(n0, n0 + d * min_step)` to
+    `max(n0, min(n0 + d * max_step, max_memory_len))`: both ends are linear in
+    the number of rewrites, so they bound every shorter prefix too, and no
+    rewritten memory outgrows `max_memory_len`. An `exact` goal must have a
+    length in that range; a `substring` goal must be no longer than its top.
     """
     b = system.branching_factor
     n = b**d
@@ -334,7 +354,8 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
             base += child_span
 
     try:
-        fill(start, 0, 0)
+        if _goal_in_reach(system, len(start), d):
+            fill(start, 0, 0)
     finally:
         del fill  # it reaches itself through its cell; without this, `marks` waits for the cyclic GC
     marks.flags.writeable = False
@@ -345,7 +366,10 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
     """Classical iterative deepening over the rule tree from one of the initial states.
 
     The expansions are held to `sim_cap()`, the most leaves the marking
-    walk's bitmap may have; past that the search raises SizeLimit.
+    walk's bitmap may have; past that the search raises SizeLimit. It expands
+    every node without `marked_vector`'s goal-length bound, since
+    `nodes_expanded` is the classical counterpart's cost that the paper
+    compares against.
     """
     if depth_cap < 0:
         raise InputError("depth_cap must be >= 0")

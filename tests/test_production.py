@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from conftest import (enumerate_paths, make_system, random_system, sequence_to_index,
                       tree_system)
+from qids import production
 from qids.errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
-from qids.production import (MAX_WALK_DEPTH, Alphabet, Rule, apply_rule, classical_ids,
-                             deterministic_trace, execute_sequence,
+from qids.production import (MAX_WALK_DEPTH, Alphabet, ProductionSystem, Rule, apply_rule,
+                             classical_ids, deterministic_trace, execute_sequence,
                              halting_predicate, index_to_sequence, load_system,
                              marked_vector, save_system, system_from_dict,
                              system_to_dict)
@@ -275,6 +276,65 @@ def test_marked_vector_overflow_kills_subtree():
     system = make_system([("A", "AA"), ("AAA", "B")], goals=("B",), max_len=2)
     assert not marked_vector(system, "A", 3).any()
     assert classical_ids(system, "A", 3).d_star is None
+
+
+words = st.text(alphabet="ab", max_size=3)
+
+
+# preconditions of one or two letters and actions of zero to three make rules
+# that grow, shrink, keep the length or mix; a memory of 1 to 4 symbols overflows
+@settings(max_examples=300, deadline=None)
+@given(rules=st.lists(st.tuples(st.text(alphabet="ab", min_size=1, max_size=2), words),
+                      min_size=1, max_size=3),
+       start=words, goals=st.lists(words, min_size=1, max_size=2, unique=True),
+       goal_match=st.sampled_from(("exact", "substring")), max_len=st.integers(1, 4))
+def test_goal_length_bound_keeps_the_reference_bitmap(rules, start, goals, goal_match,
+                                                      max_len):
+    """At every depth, those the goal-length bound skips included, the bitmap is
+    the halting predicate; the start may be longer than max_memory_len."""
+    system = ProductionSystem(alphabet=Alphabet(("a", "b")),
+                              rules=tuple(Rule(pre, post) for pre, post in rules),
+                              initial_states=("a",), goal_states=tuple(goals),
+                              max_memory_len=max_len, goal_match=goal_match)
+    b = len(rules)
+    for d in range(6):
+        expected = [bool(halting_predicate(system, start, index_to_sequence(i, b, d)))
+                    for i in range(b**d)]
+        assert marked_vector(system, start, d).tolist() == expected
+
+
+def test_marking_skips_depths_whose_goal_lengths_are_out_of_reach(monkeypatch):
+    """On a tree whose goal is 12 rewrites long, depths 0 to 11 never test a memory."""
+    tested = []
+    real_goal_test = production._goal_test
+
+    def counting_goal_test(system):
+        is_goal = real_goal_test(system)
+        return lambda memory: tested.append(memory) or is_goal(memory)
+
+    monkeypatch.setattr(production, "_goal_test", counting_goal_test)
+    marked_vector.cache_clear()
+    system = tree_system(12, "ab" * 6)
+    for d in range(12):
+        assert not marked_vector(system, "E", d).any()
+    assert tested == []
+    assert marked_vector(system, "E", 12).sum() == 1
+    assert len(tested) == 2**13 - 1
+
+
+def test_skipped_depth_keeps_every_boundary_check(monkeypatch):
+    marked_vector.cache_clear()
+    system = tree_system(12, "ab" * 6)
+    monkeypatch.setenv("QIDS_SIM_CAP", str(2**11 - 1))
+    with pytest.raises(SizeLimit):
+        marked_vector(system, "E", 11)
+    monkeypatch.delenv("QIDS_SIM_CAP")
+    with pytest.raises(AlphabetMismatch):
+        marked_vector(system, "xE", 3)
+    first = marked_vector(system, "E", 11)
+    assert first.shape == (2**11,) and not first.any()
+    assert not first.flags.writeable
+    assert marked_vector(system, "E", 11) is first
 
 
 def test_marking_cache_is_bounded_by_bytes(monkeypatch):
