@@ -128,16 +128,16 @@ def _log_to_stderr(enabled: bool):
 def _cmd_run(args) -> int:
     system = load_system(args.system)
     start = args.start if args.start is not None else system.initial_states[0]
+    config = QidConfig(
+        seed=args.seed,
+        depth_cap=args.depth_cap,
+        counting_mode=args.counting_mode.replace("-", "_"),
+        iterate_policy=args.iterate_policy,
+        skip_empty_depths=not args.run_empty_depths,
+    )
     if args.classical:
-        report = classical_ids(system, start, 12 if args.depth_cap is None else args.depth_cap)
+        report = classical_ids(system, start, 12 if config.depth_cap is None else config.depth_cap)
     else:
-        config = QidConfig(
-            seed=args.seed,
-            depth_cap=args.depth_cap,
-            counting_mode=args.counting_mode.replace("-", "_"),
-            iterate_policy=args.iterate_policy,
-            skip_empty_depths=not args.run_empty_depths,
-        )
         with _log_to_stderr(args.verbose):
             report = quantum_iterative_deepening(system, start, config)
     text = report_to_json(report, include_volatile=not args.no_timestamp)

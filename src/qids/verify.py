@@ -17,6 +17,7 @@ empirical frequency bound has margin.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -398,8 +399,11 @@ def check_halt_timing_demo() -> CheckResult:
 
 
 def _chi_square_pvalue(counts: np.ndarray, probs: np.ndarray, draws: int) -> float:
-    """Goodness-of-fit p-value, merging low-expectation cells (< 5) together."""
-    from scipy import stats  # local: importing scipy costs about a second of every start
+    """Goodness-of-fit p-value, merging low-expectation cells (< 5) together.
+
+    Closed-form chi-square tail (Abramowitz and Stegun 26.4); h = statistic/2, a = 1 + df % 2 / 2:
+    exp(-h) * sum_{j < df // 2} h**(a + j - 1) / gamma(a + j), plus erfc(sqrt(h)) for odd df.
+    """
     expected = probs * draws
     keep = expected >= 5
     if np.any(~keep):
@@ -407,8 +411,13 @@ def _chi_square_pvalue(counts: np.ndarray, probs: np.ndarray, draws: int) -> flo
         expected = np.append(expected[keep], expected[~keep].sum())
     if len(counts) < 2:
         return 1.0
-    statistic = float(((counts - expected) ** 2 / expected).sum())
-    return float(stats.chi2.sf(statistic, df=len(counts) - 1))
+    df, h = len(counts) - 1, float(((counts - expected) ** 2 / expected).sum()) / 2
+    a, tail = (1.5, math.erfc(math.sqrt(h))) if df % 2 else (1.0, 0.0)
+    term = math.exp(-h) * h ** (a - 1) / math.gamma(a)
+    for j in range(df // 2):
+        tail += term
+        term *= h / (a + j)
+    return tail
 
 
 def check_measurement_statistics(draws: int = 10_000, coeff: float = 2.0) -> CheckResult:

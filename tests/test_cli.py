@@ -1,19 +1,23 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qids.cli import main
 from qids.production import load_system
+from qids.statevector import measure
 from qids.turing import decode_config, load_tm
+from qids.verify import _chi_square_pvalue, check_measurement_statistics
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 TREE = str(DEMOS / "tree_search.json")
@@ -142,7 +146,8 @@ def test_run_seed_required(capsys):
     assert "--seed" in err
 
 
-@pytest.mark.parametrize("command", [("run", TREE), ("demo-flaw", HALT_DEMO, "-d", "3")])
+@pytest.mark.parametrize("command", [("run", TREE), ("demo-flaw", HALT_DEMO, "-d", "3"),
+                                     ("run", TREE, "--classical")])
 def test_negative_seed_exits_1(capsys, command):
     code, _, err = run_cli(capsys, *command, "--seed", "-1")
     assert code == 1
@@ -409,6 +414,59 @@ def test_verify_unknown_check_errors(capsys):
     assert code == 1
 
 
+def _cells_with_statistic(statistic, df):
+    """Counts, probabilities and draws for df + 1 cells expecting 100 each, at this statistic."""
+    shift = math.sqrt(50 * statistic)  # moving shift between two cells adds 2 * shift**2 / 100
+    counts = np.full(df + 1, 100.0)
+    counts[0] += shift
+    counts[1] -= shift
+    return counts, np.full(df + 1, 1 / (df + 1)), 100 * (df + 1)
+
+
+# scipy.stats.chi2.sf(statistic, df) from scipy 1.17.1
+@pytest.mark.parametrize("statistic, df, expected", [
+    (3.841458820694124, 1, 0.04999999999999989),
+    (10.0, 4, 0.04042768199451279),
+    (7.5, 7, 0.37873690604821353),
+    (100.0, 63, 0.002077236552784822),
+    (61.09830608105814, 31, 0.0009999999999999961),
+    (0.0, 5, 1.0),
+])
+def test_chi_square_tail_matches_reference_values(statistic, df, expected):
+    p = _chi_square_pvalue(*_cells_with_statistic(statistic, df))
+    assert p == pytest.approx(expected, rel=1e-12)
+
+
+def test_chi_square_passes_draws_from_the_stated_probabilities_and_fails_shifted_ones():
+    rng = np.random.default_rng(3)
+    probs = np.linspace(1, 3, 24)
+    probs /= probs.sum()
+    shifted = probs * np.where(np.arange(24) < 12, 1.1, 0.9)
+    shifted /= shifted.sum()
+    assert _chi_square_pvalue(rng.multinomial(10_000, probs), probs, 10_000) > 0.001
+    assert _chi_square_pvalue(rng.multinomial(10_000, shifted), probs, 10_000) < 0.001
+
+
+def test_chi_square_merges_cells_expected_below_5():
+    probs = np.array([0.5, 0.4998, 0.0001, 0.0001])
+    counts = np.array([4950.0, 5046.0, 3.0, 1.0])
+    merged = _chi_square_pvalue(np.array([4950.0, 5046.0, 4.0]), np.array([0.5, 0.4998, 0.0002]),
+                                10_000)
+    assert _chi_square_pvalue(counts, probs, 10_000) == merged
+    # every cell expected below 5 merges into one, which cannot misfit
+    assert _chi_square_pvalue(np.array([4.0, 0.0]), np.array([0.5, 0.5]), 4) == 1.0
+
+
+def test_measurement_statistics_fails_a_sampler_off_the_born_rule(monkeypatch):
+    def tilted(state, rng):  # the first half of the labels drawn 2.25 times as often as stated
+        weights = np.where(np.arange(len(state)) < len(state) // 2, 1.5, 1.0)[:, None]
+        return measure(state * weights / np.linalg.norm(state * weights), rng)
+
+    monkeypatch.setattr("qids.verify.measure", tilted)
+    result = check_measurement_statistics(draws=2_000)
+    assert not result.passed and "chi-square p =" in result.detail
+
+
 # --- fuzz ---------------------------------------------------------------------------
 
 _WORDS = st.text("abE", max_size=3)
@@ -540,12 +598,14 @@ def test_cli_fuzz_compile_tm_never_raises(capsys, tmp_path, machine, tapes):
             assert code in (0, 1, 2) and (code != 1 or err.startswith("error:"))
 
 
-# --- start-up -------------------------------------------------------------------------
+# --- dependencies -------------------------------------------------------------------
 
-def test_import_cli_does_not_load_scipy():
-    # scipy serves only the chi-square check and takes about a second to import
-    code = "import sys, qids.cli; sys.exit('scipy' in sys.modules)"
+def test_verify_measurement_statistics_runs_without_scipy():
+    code = ("import sys; sys.modules['scipy'] = None; import qids.cli; "
+            "sys.exit(qids.cli.main(['verify', '--only', 'measurement-statistics']))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "PASS measurement-statistics" in run.stdout
