@@ -11,15 +11,18 @@ The round is not simulated. Its state has only two Born weights, one per
 flat entry of a marked sequence and one per unmarked entry
 (`grover.amplified_weights`), so `measure` inverts their cumulative
 distribution in closed form: one uniform double from the depth's generator,
-a binary search over the marked sequences and one division, with no
-length-2N vector and whatever the iterate count. It returns the index that
+a binary search over the runs of marked sequences that
+`production.marked_vector` returns and one division, with no length-2N
+vector, no b**d bitmap and whatever the iterate count. The runs also give k
+and whether the measured sequence halts. It returns the index that
 `rng.choice` over the flat vector (`grover.amplified_probabilities`) draws
 from that same double, so seeded reports match the dense engine's, which the
-`engine-agreement` check ties to that vector. The vector is built only when
-the double falls within rounding distance of a step edge, to draw from it
-as before. The `draw-agreement` check holds the inverse draw to `rng.choice`,
-so a numpy whose `choice` draws differently fails the gate instead of
-silently changing seeded reports.
+`engine-agreement` check ties to that vector. The vector, and the bitmap
+it is spread from, are built only when the double falls within rounding
+distance of a step edge, to draw from it as before. The `draw-agreement`
+check holds the inverse draw to `rng.choice`, so a numpy whose `choice`
+draws differently fails the gate instead of silently changing seeded
+reports.
 
 Rebuilding makes the cost of re-scanning shallow levels geometric: with the
 optimal iterate policy the cumulative oracle-call count through depth d
@@ -39,18 +42,20 @@ import itertools
 import json
 import logging
 import math
+import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import InputError, SizeLimit
-from .grover import (amplified_probabilities, amplified_weights, literal_iterations,
+from .grover import (amplified_probabilities, amplified_weights, bitmap, literal_iterations,
                      optimal_iterations, predicted_success_exact)
 from .limits import check_float_range, sim_cap
-from .production import (ClassicalSearchResult, ProductionSystem, RuleSequence, check_walk_depth,
-                         execute_sequence, index_to_sequence, marked_vector)
+from .production import (ClassicalSearchResult, MarkedRuns, ProductionSystem, RuleSequence,
+                         check_walk_depth, execute_sequence, index_to_sequence, marked_vector)
 from .statevector import check_total, sample_index
 
 log = logging.getLogger(__name__)
@@ -146,13 +151,40 @@ def iterate_count(n_paths: int, k_policy: int, policy: str) -> int:
     return optimal_iterations(n_paths, k_policy)
 
 
-def _inverse_cdf(pos: np.ndarray, n_paths: int, p_marked: float, p_unmarked: float,
-                 total: float, u: float) -> int | None:
+def _candidate(runs: MarkedRuns, p_marked: float, p_unmarked: float, t: float) -> int | None:
+    """The flat index whose step holds the mass t, up to rounding, or None.
+
+    A binary search over the masses below the runs' starts finds the last
+    run starting at or below t; one division then lands in that run or in
+    the unmarked gap after it. None when t lies past the last run and no
+    unmarked entry carries weight.
+    """
+    starts, before = runs.starts, runs.before
+
+    def mass_below(r: int) -> float:
+        return 2 * (before[r] * p_marked + (starts[r] - before[r]) * p_unmarked)
+
+    r = bisect_right(range(len(starts)), t, key=mass_below) - 1
+    if r < 0:
+        first, base = 0, 0.0
+    else:
+        base = mass_below(r)
+        span = before[r + 1] - before[r]
+        if t - base < 2 * span * p_marked:
+            return 2 * starts[r] + int((t - base) // p_marked)
+        first, base = starts[r] + span, base + 2 * span * p_marked
+    if p_unmarked > 0:
+        return 2 * first + int((t - base) // p_unmarked)
+    return None
+
+
+def _inverse_cdf(runs: MarkedRuns, p_marked: float, p_unmarked: float, total: float,
+                 u: float) -> int | None:
     """The sequence whose flat step of the cumulative distribution holds u.
 
     The flat entries 2i and 2i + 1 of sequence i weigh p_marked if i is
-    marked and p_unmarked if not, so with M(i) the number of marked
-    sequences below i the mass below flat index 2i + h is
+    marked and p_unmarked if not, so with M(i) = `runs.rank(i)` the number
+    of marked sequences below i the mass below flat index 2i + h is
 
         S(2i + h) = 2 * (M(i) * p_marked + (i - M(i)) * p_unmarked) + h * w(i).
 
@@ -170,61 +202,53 @@ def _inverse_cdf(pos: np.ndarray, n_paths: int, p_marked: float, p_unmarked: flo
     step edge lies within gamma(2n + 9) <= (n + 5) * eps of where it is
     computed here. Unless u clears both edges of its step by twice that,
     the band (2n + 16) * eps, this returns None and the caller falls back to
-    `rng.choice` over the vector.
+    `rng.choice` over the vector. `_candidate` proposes the step, and only
+    this test accepts it.
     """
-    band = (4 * n_paths + 16) * np.finfo(float).eps
-    t = u * total
-    # binary search over the marked sequences, then one division in the run of unmarked ones
-    j = np.arange(len(pos))
-    starts = 2 * (j * p_marked + (pos - j) * p_unmarked)
-    r = int(np.searchsorted(starts, t, side="right")) - 1
-    if r >= 0 and t - starts[r] < 2 * p_marked:
-        flat = 2 * int(pos[r]) + int(t - starts[r] >= p_marked)
-    elif p_unmarked > 0:
-        first, base = (int(pos[r]) + 1, starts[r] + 2 * p_marked) if r >= 0 else (0, 0.0)
-        flat = 2 * first + int((t - base) // p_unmarked)
-    else:
+    n_paths = runs.n
+    band = (4 * n_paths + 16) * sys.float_info.epsilon
+    flat = _candidate(runs, p_marked, p_unmarked, u * total)
+    if flat is None:
         return None
     index, h = divmod(min(max(flat, 0), 2 * n_paths - 1), 2)
-    below = int(np.searchsorted(pos, index))
-    weight = p_marked if below < len(pos) and pos[below] == index else p_unmarked
+    below = runs.rank(index)
+    weight = p_marked if runs.marked(index) else p_unmarked
     lo = 2 * (below * p_marked + (index - below) * p_unmarked) + h * weight
     if u - lo / total > band and (lo + weight) / total - u > band:
         return index
     return None
 
 
-def draw(marks: np.ndarray, k: int, m: int, seed: int, depth: int) -> tuple[int, bool]:
+def draw(runs: MarkedRuns, m: int, seed: int, depth: int) -> tuple[int, bool]:
     """(sequence index measured after m iterates, whether the inverse CDF gave it).
 
-    The index is the one `sample_index(amplified_probabilities(marks, k, m),
-    depth_rng(seed, depth)) // 2` draws. The closed-form total is checked
-    for NormDrift before the depth's generator is touched; the probability
-    vector is built only when the drawn double sits on a step edge.
+    The index is the one `sample_index(amplified_probabilities(bitmap(runs),
+    runs.k, m), depth_rng(seed, depth)) // 2` draws. The closed-form total
+    is checked for NormDrift before the depth's generator is touched; the
+    bitmap and the probability vector are built only when the drawn double
+    sits on a step edge.
     """
-    n_paths = len(marks)
+    n_paths, k = runs.n, runs.k
     p_marked, p_unmarked = amplified_weights(n_paths, k, m)
-    pos = np.flatnonzero(marks)
-    total = 2 * (len(pos) * p_marked + (n_paths - len(pos)) * p_unmarked)
+    total = 2 * (k * p_marked + (n_paths - k) * p_unmarked)
     check_total(total)
-    index = _inverse_cdf(pos, n_paths, p_marked, p_unmarked, total,
-                         depth_rng(seed, depth).random())
+    index = _inverse_cdf(runs, p_marked, p_unmarked, total, depth_rng(seed, depth).random())
     if index is not None:
         return index, True
-    probs = amplified_probabilities(marks, k, m)
+    probs = amplified_probabilities(bitmap(runs), k, m)
     return sample_index(probs, depth_rng(seed, depth)) // 2, False
 
 
-def measure(marks: np.ndarray, k: int, m: int, seed: int, depth: int) -> int:
+def measure(runs: MarkedRuns, m: int, seed: int, depth: int) -> int:
     """Measure the round at `depth`: the sequence index drawn after m iterates.
 
     The closed-form counterpart of `statevector.measure` on the amplified
     state: the same Born draw with the depth's own generator, by the exact
     inverse-CDF `draw`. Logs the round as one INFO line.
     """
-    index, fast = draw(marks, k, m, seed, depth)
-    log.info("depth=%d k=%d m=%d index=%d halting=%s draw=%s", depth, k, m, index,
-             bool(marks[index]), "inverse-cdf" if fast else "vector")
+    index, fast = draw(runs, m, seed, depth)
+    log.info("depth=%d k=%d m=%d index=%d halting=%s draw=%s", depth, runs.k, m, index,
+             runs.marked(index), "inverse-cdf" if fast else "vector")
     return index
 
 
@@ -252,17 +276,17 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
     total_calls = 0
     for depth in range(depth_cap + 1):
         n_paths = b**depth
-        marks = marked_vector(system, start, depth)
-        k = int(np.count_nonzero(marks))
+        runs = marked_vector(system, start, depth)
+        k = runs.k
         if k == 0 and config.skip_empty_depths:
             log.info("depth=%d k=0 skipped", depth)
             per_depth.append(DepthRecord(depth, n_paths, 0, 0, 0, 0.0, True, None, None, None))
             continue
         k_policy = k if config.counting_mode == "exact" else 1
         m = iterate_count(n_paths, max(k_policy, 1), config.iterate_policy)
-        p_index = measure(marks, k, m, config.seed, depth)
+        p_index = measure(runs, m, config.seed, depth)
         seq = index_to_sequence(p_index, b, depth)
-        halting = bool(marks[p_index])
+        halting = runs.marked(p_index)
         total_calls += m
         predicted = predicted_success_exact(n_paths, k, m) if k else 0.0
         per_depth.append(DepthRecord(depth, n_paths, k, m, m, predicted, False,

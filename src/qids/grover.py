@@ -1,8 +1,9 @@
 """Amplitude amplification against the sequence-halting predicate.
 
-The oracle XORs the halting bitmap (one bool per sequence label, as
-`production.marked_vector` returns it) into the halt bit; with the halt bit
-prepared in (|0> - |1>)/sqrt(2) that is a phase flip on marked sequences.
+The oracle XORs the halting bitmap (one bool per sequence label, which
+`bitmap` builds from the runs `production.marked_vector` returns) into the
+halt bit; with the halt bit prepared in (|0> - |1>)/sqrt(2) that is a phase
+flip on marked sequences.
 Diffusion reflects sequence amplitudes about their mean. One oracle
 application plus one diffusion is one search iterate, and the closed form
 
@@ -15,6 +16,8 @@ The search driver draws from the two closed-form weights of that state
 flat probability vector, and the dense iterate below is the reference that
 the verification suite checks that vector against. It acts on `statevector`
 arrays of shape (N, 2), one row per sequence, and takes N from len(marks).
+Only this dense reference needs a bitmap; the search reads the runs, and
+builds one through `bitmap` only when its draw falls back to the vector.
 """
 
 from __future__ import annotations
@@ -25,7 +28,17 @@ import numpy as np
 
 from .errors import InputError, KZero
 from .limits import check_size
+from .production import MarkedRuns
 from .statevector import prepare_halt_minus, uniform_superposition
+
+
+def bitmap(runs: MarkedRuns) -> np.ndarray:
+    """The mark table of `runs`: entry i is True when sequence i is marked."""
+    check_size(runs.n, "mark bitmap")
+    marks = np.zeros(runs.n, dtype=bool)
+    for start, lo, hi in zip(runs.starts, runs.before, runs.before[1:]):
+        marks[start:start + hi - lo] = True
+    return marks
 
 
 def apply_oracle(state: np.ndarray, marks: np.ndarray) -> np.ndarray:

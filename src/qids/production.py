@@ -14,16 +14,23 @@ str}), `initial` (list of strings), `goals` (list of strings) and
 `max_memory_len` (int, default 64). The optional field `goal_match`
 ("exact" | "substring", default "exact") says whether a goal must equal the
 whole memory or occur in it. Unknown fields are rejected.
+
+The marking walk `marked_vector` evaluates the halting predicate over all
+b**d sequences of one depth and returns the halting ones as `MarkedRuns`:
+sorted runs of consecutive sequence indices, which answer k, "is sequence i
+marked" and the rank M(i) with one binary search each. No b**d bitmap is
+built; the dense reference in `grover` builds one from the runs when it needs
+it. This module imports no numpy.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
-
-import numpy as np
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
 from .jsonfields import (check_object, load_json_file, read_field, read_list_of,
@@ -255,36 +262,92 @@ def check_walk_depth(depth: int) -> None:
         raise SizeLimit(f"depth {depth} is past the walk-depth bound of {MAX_WALK_DEPTH}")
 
 
+class MarkedRuns:
+    """The marked sequences of one depth as sorted runs of consecutive indices.
+
+    Run r covers `before[r + 1] - before[r]` sequences from index
+    `starts[r]`; `before[r]` marked sequences lie below it and `before[-1]`
+    is k, the number marked of the n sequences. `add` appends a run at or
+    past the end of the last one and merges the two when they touch, so no
+    two runs touch: there are at most min(k, n - k + 1) of them, about 16
+    bytes each. `rank` and `marked` are one binary search over the starts
+    each; `sys.getsizeof` counts the two arrays.
+    """
+
+    __slots__ = ("n", "starts", "before", "__weakref__")
+
+    def __init__(self, n: int, runs: Iterable[tuple[int, int]] = ()):
+        self.n = n
+        self.starts = array("q")
+        self.before = array("q", [0])
+        for start, span in runs:
+            self.add(start, span)
+
+    @property
+    def k(self) -> int:
+        return self.before[-1]
+
+    def sum(self) -> int:
+        """k, under the name a bitmap's count has; `bench/test_bench.py` still reads it."""
+        return self.k
+
+    def add(self, start: int, span: int) -> None:
+        """Mark `span` sequences from `start`, which is at or past the last run's end."""
+        starts, before = self.starts, self.before
+        if starts and starts[-1] + before[-1] - before[-2] == start:
+            before[-1] += span
+        else:
+            starts.append(start)
+            before.append(before[-1] + span)
+
+    def rank(self, i: int) -> int:
+        """M(i), the number of marked sequences below index i."""
+        r = bisect_right(self.starts, i) - 1
+        if r < 0:
+            return 0
+        return min(self.before[r] + i - self.starts[r], self.before[r + 1])
+
+    def marked(self, i: int) -> bool:
+        """Whether sequence i is marked."""
+        r = bisect_right(self.starts, i) - 1
+        return r >= 0 and self.before[r] + i - self.starts[r] < self.before[r + 1]
+
+    def __sizeof__(self) -> int:
+        return object.__sizeof__(self) + sys.getsizeof(self.starts) + sys.getsizeof(self.before)
+
+
 def _byte_bounded_cache(walk):
-    """Memoise `walk(system, start, d)` on bitmaps of at most `sim_cap()` bytes in all.
+    """Memoise `walk(system, start, d)` on runs of at most `sim_cap()` bytes in all.
 
     Entries are keyed by the system's identity, not its value, so a hit is
     one dict lookup whose key hashes in constant time instead of hashing
     every rule of the system. Each entry holds its system, so that id cannot
-    be reused while the entry lives. Before a bitmap is inserted, the oldest
-    entries are dropped until it fits; one that alone exceeds the cap is
-    returned without being kept.
+    be reused while the entry lives. An entry's size is `sys.getsizeof` of
+    its `MarkedRuns`, arrays included: about 16 bytes a run, so interleaved marks
+    (up to n/2 runs) can weigh 8 bytes a sequence. Before an entry is
+    inserted, the oldest entries are dropped until it fits; one that alone
+    exceeds the cap is returned without being kept.
     """
-    entries: dict[tuple[int, str, int], tuple[ProductionSystem, np.ndarray, int]] = {}
+    entries: dict[tuple[int, str, int], tuple[ProductionSystem, MarkedRuns, int]] = {}
     held = 0
 
     @functools.wraps(walk)
-    def cached(system: ProductionSystem, start: str, d: int) -> np.ndarray:
+    def cached(system: ProductionSystem, start: str, d: int) -> MarkedRuns:
         nonlocal held
         key = (id(system), start, d)
         try:
             return entries[key][1]
         except KeyError:
             pass
-        marks = walk(system, start, d)
-        size = sys.getsizeof(marks)
+        runs = walk(system, start, d)
+        size = sys.getsizeof(runs)
         cap = sim_cap()
         if size <= cap:
             while held + size > cap:
                 held -= entries.pop(next(iter(entries)))[2]
-            entries[key] = (system, marks, size)
+            entries[key] = (system, runs, size)
             held += size
-        return marks
+        return runs
 
     def cache_clear() -> None:
         nonlocal held
@@ -307,20 +370,22 @@ def _goal_in_reach(system: ProductionSystem, n0: int, d: int) -> bool:
 
 
 @_byte_bounded_cache
-def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
-    """Halting bit for every depth-d sequence; entry i is `index_to_sequence(i, b, d)`.
+def marked_vector(system: ProductionSystem, start: str, d: int) -> MarkedRuns:
+    """The halting depth-d sequences as runs; sequence i is `index_to_sequence(i, b, d)`.
 
-    A depth-first walk with O(d) memory that shares rewriting work across
-    common prefixes: once a prefix halts the whole subtree is marked without
-    descending, and a dead prefix (inapplicable rule or overflow) zeroes its
-    subtree. A rewrite of a string over the alphabet by a rule over the
-    alphabet stays in it, so once the rules (at construction) and the start
-    string (once per walk) are checked, no step needs an alphabet check; this
-    holds for every walk in this module. The bitmap is read-only and cached
-    (`marked_vector.cache_clear()` empties the cache).
+    A depth-first walk with an O(d) stack that shares rewriting work across
+    common prefixes: once a prefix halts its whole subtree is one run of
+    marked sequences, added without descending, and a dead prefix
+    (inapplicable rule or overflow) adds nothing. The walk visits subtrees
+    in index order, so the runs come sorted and merge as they are added;
+    no `b**d` bitmap is built. A rewrite of a string over the alphabet by a
+    rule over the alphabet stays in it, so once the rules (at construction)
+    and the start string (once per walk) are checked, no step needs an
+    alphabet check; this holds for every walk in this module. The runs are
+    cached and must not be changed (`marked_vector.cache_clear()` empties
+    the cache).
 
-    The walk is skipped, leaving the bitmap all zero, when no goal's length is
-    in reach. Each rewrite changes the length by a rule step
+    The walk is skipped, leaving no runs, when no goal's length is in reach. Each rewrite changes the length by a rule step
     `len(action) - len(precondition)`, so the memories within `d` rewrites of
     a length-`n0` start have lengths from `min(n0, n0 + d * min_step)` to
     `max(n0, min(n0 + d * max_step, max_memory_len))`: both ends are linear in
@@ -332,7 +397,8 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
     n = b**d
     check_size(n, f"path space b={b} d={d}")
     system.alphabet.check_string(start, "start state")
-    marks = np.zeros(n, dtype=bool)
+    runs = MarkedRuns(n)
+    mark = runs.add
     pairs = [(rule.precondition, rule.action) for rule in system.rules]
     max_len = system.max_memory_len
     is_goal = _goal_test(system)
@@ -340,7 +406,7 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
 
     def fill(memory: str, depth: int, base: int) -> None:
         if is_goal(memory):
-            marks[base:base + spans[depth]] = True
+            mark(base, spans[depth])
             return
         if depth == d:
             return
@@ -357,16 +423,15 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> np.ndarray:
         if _goal_in_reach(system, len(start), d):
             fill(start, 0, 0)
     finally:
-        del fill  # it reaches itself through its cell; without this, `marks` waits for the cyclic GC
-    marks.flags.writeable = False
-    return marks
+        del fill  # it reaches itself through its cell; without this, `runs` waits for the cyclic GC
+    return runs
 
 
 def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> ClassicalSearchResult:
     """Classical iterative deepening over the rule tree from one of the initial states.
 
     The expansions are held to `sim_cap()`, the most leaves the marking
-    walk's bitmap may have; past that the search raises SizeLimit. It expands
+    walk may have; past that the search raises SizeLimit. It expands
     every node without `marked_vector`'s goal-length bound, since
     `nodes_expanded` is the classical counterpart's cost that the paper
     compares against.

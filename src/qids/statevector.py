@@ -13,19 +13,22 @@ fresh arrays; callers read `state[:, h]` for a halt-bit slice,
 `np.linalg.norm(state)` for the norm and `np.abs(state.ravel()) ** 2` for
 the Born probabilities.
 
-The search driver does not simulate amplification, and it builds no
-probability vector unless it must: `driver.measure` finds the sequence that
-`sample_index` (the sampler `measure` uses) would draw from the closed-form
-vector by inverting the two-valued cumulative distribution directly, and
-falls back to `sample_index` over that vector only when the draw lands
-within rounding distance of a step edge. That equality rests on how numpy's
-`choice` turns one double into an index, which the `draw-agreement` check
-of the verification suite guards. The dense amplified state is the
-reference the suite checks the closed-form vector against.
+The search driver does not simulate amplification, and it builds no mark
+bitmap or probability vector unless it must: from the runs of marked
+sequences, `driver.measure` finds the sequence that `sample_index` (the
+sampler `measure` uses) would draw from the closed-form vector by inverting
+the two-valued cumulative distribution directly, and falls back to
+`sample_index` over that vector only when the draw lands within rounding
+distance of a step edge. That equality rests on how numpy's `choice` turns
+one double into an index, which the `draw-agreement` check of the
+verification suite guards. The dense amplified state is the reference the
+suite checks the closed-form vector against. `check_total`, which the draw
+also calls, is plain float arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +63,9 @@ def prepare_halt_minus(state: np.ndarray) -> np.ndarray:
 
 def check_total(total: float) -> None:
     """Raise NormDrift if the norm sqrt(total) of a Born total strays past MEASURE_NORM_TOL."""
-    if abs(np.sqrt(total) - 1.0) > MEASURE_NORM_TOL:
-        raise NormDrift(f"state norm = {np.sqrt(total):.9f} drifted beyond {MEASURE_NORM_TOL}")
+    norm = math.sqrt(total)
+    if abs(norm - 1.0) > MEASURE_NORM_TOL:
+        raise NormDrift(f"state norm = {norm:.9f} drifted beyond {MEASURE_NORM_TOL}")
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -29,11 +29,11 @@ from .driver import (QidConfig, cumulative_calls, depth_rng, draw,
                      quantum_iterative_deepening, report_within_call_budget,
                      within_call_budget)
 from .errors import QidsError
-from .grover import (amplified_probabilities, amplified_state, grover_iterate,
+from .grover import (amplified_probabilities, amplified_state, bitmap, grover_iterate,
                      literal_iterations, optimal_iterations,
                      predicted_success_asymptotic, predicted_success_exact,
                      simulated_success)
-from .production import (Alphabet, ProductionSystem, Rule, apply_rule,
+from .production import (Alphabet, MarkedRuns, ProductionSystem, Rule, apply_rule,
                          classical_ids, deterministic_trace, execute_sequence,
                          marked_vector)
 from .statevector import (halt_timing_demo, measure, prepare_halt_minus,
@@ -141,7 +141,7 @@ def _depth_clean(system: ProductionSystem, start: str, margin: int = 3,
     b = system.branching_factor
     d_star, k_star = None, 0
     for d in range(d_max + 1):
-        k = int(marked_vector(system, start, d).sum())
+        k = marked_vector(system, start, d).k
         if k > 0:
             d_star, k_star = d, k
             break
@@ -149,7 +149,7 @@ def _depth_clean(system: ProductionSystem, start: str, margin: int = 3,
         return None
     for j in range(1, margin + 1):
         expected = k_star * b**j
-        actual = int(marked_vector(system, start, d_star + j).sum())
+        actual = marked_vector(system, start, d_star + j).k
         if actual != expected:
             return None
     n = b**d_star
@@ -464,16 +464,15 @@ def check_unitarity(iterations: int = 1000, coeff: float = 2.0) -> CheckResult:
                    f"|norm - 1| = {drift:.3e} after {iterations} iterates at dim 2048")
 
 
-def _closed_form_registers() -> list[tuple[np.ndarray, int, int]]:
-    """(marks, depth, m) for the corpus at d*..d*+3 under both iterate counts, plus b=4, d=8, k=1."""
+def _closed_form_registers() -> list[tuple[MarkedRuns, int, int]]:
+    """(runs, depth, m) for the corpus at d*..d*+3 under both iterate counts, plus b=4, d=8, k=1."""
     cases = []
     for entry in acceptance_corpus():
         for d in range(entry.d_star, entry.d_star + 4):
-            marks = marked_vector(entry.system, entry.start, d)
-            k = int(marks.sum())
-            cases += [(marks, d, optimal_iterations(len(marks), k)),
-                      (marks, d, literal_iterations(len(marks)))]
-    cases.append((np.arange(4**8) == 4321, 8, optimal_iterations(4**8, 1)))
+            runs = marked_vector(entry.system, entry.start, d)
+            cases += [(runs, d, optimal_iterations(runs.n, runs.k)),
+                      (runs, d, literal_iterations(runs.n))]
+    cases.append((MarkedRuns(4**8, [(4321, 1)]), 8, optimal_iterations(4**8, 1)))
     return cases
 
 
@@ -486,9 +485,10 @@ def check_engine_agreement(coeff: float = 2.0) -> CheckResult:
     t0 = time.perf_counter()
     cases = _closed_form_registers()
     worst = 0.0
-    for marks, _, m in cases:
+    for runs, _, m in cases:
+        marks = bitmap(runs)
         dense = np.abs(amplified_state(marks, m, coeff).ravel()) ** 2
-        closed = amplified_probabilities(marks, int(marks.sum()), m)
+        closed = amplified_probabilities(marks, runs.k, m)
         worst = max(worst, float(np.max(np.abs(dense - closed))))
     return _result("engine-agreement", t0, worst <= 1e-12,
                    f"max |dense - closed form| = {worst:.3e} over {len(cases)} "
@@ -508,20 +508,19 @@ def check_draw_agreement() -> CheckResult:
     t0 = time.perf_counter()
     cases = _closed_form_registers()
     n = 4096
-    for marks in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool)):
-        cases += [(marks, 12, m) for m in (0, 1, optimal_iterations(n, 1), literal_iterations(n))]
+    for runs in (MarkedRuns(n), MarkedRuns(n, [(0, n)])):
+        cases += [(runs, 12, m) for m in (0, 1, optimal_iterations(n, 1), literal_iterations(n))]
     draws = fallbacks = 0
     problems = []
-    for c, (marks, depth, m) in enumerate(cases):
-        k = int(marks.sum())
-        probs = amplified_probabilities(marks, k, m)
+    for c, (runs, depth, m) in enumerate(cases):
+        probs = amplified_probabilities(bitmap(runs), runs.k, m)
         for seed in range(RUN_SEED_BASE, RUN_SEED_BASE + DRAW_SEEDS):
-            index, fast = draw(marks, k, m, seed, depth)
+            index, fast = draw(runs, m, seed, depth)
             expected = sample_index(probs, depth_rng(seed, depth)) // 2
             draws += 1
             fallbacks += not fast
             if index != expected:
-                problems.append(f"register {c} (N={len(marks)}, k={k}, m={m}) seed {seed}: "
+                problems.append(f"register {c} (N={runs.n}, k={runs.k}, m={m}) seed {seed}: "
                                 f"drew {index}, rng.choice drew {expected}")
     detail = (f"{draws - len(problems)}/{draws} draws over {len(cases)} registers agree; "
               f"{fallbacks} took the vector fallback")

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from qids.grover import bitmap
 from qids.limits import check_size
-from qids.production import Alphabet, ProductionSystem, Rule
+from qids.production import Alphabet, MarkedRuns, ProductionSystem, Rule
 
 
 def tree_system(depth: int, goal_word: str = "aba") -> ProductionSystem:
@@ -22,6 +23,38 @@ def tree_system(depth: int, goal_word: str = "aba") -> ProductionSystem:
         goal_states=(goal_word + "E",),
         max_memory_len=max(depth + 8, 16),
     )
+
+
+def parity_system(depth: int) -> ProductionSystem:
+    """Binary tree whose exact goals are every length-`depth` word with an even
+    number of b's: its marked depth-`depth` leaves follow the Thue-Morse
+    sequence, the worst case for the number of runs (about N/3)."""
+    words = ("".join(w) for w in itertools.product("ab", repeat=depth))
+    return ProductionSystem(
+        alphabet=Alphabet(("a", "b", "E")),
+        rules=(Rule("E", "aE"), Rule("E", "bE")),
+        initial_states=("E",),
+        goal_states=tuple(w + "E" for w in words if w.count("b") % 2 == 0),
+        max_memory_len=depth + 8,
+    )
+
+
+def runs_of(marks) -> MarkedRuns:
+    """The runs of a bool bitmap, added one marked sequence at a time."""
+    return MarkedRuns(len(marks), ((int(i), 1) for i in np.flatnonzero(marks)))
+
+
+def marks_of(runs: MarkedRuns) -> list[bool]:
+    """The bitmap built from `runs`, as a list, once their layout is checked:
+    sorted, no two touching, within the n sequences, spans summing to k."""
+    starts, before = list(runs.starts), list(runs.before)
+    spans = [hi - lo for lo, hi in zip(before, before[1:])]
+    assert before[0] == 0 and len(spans) == len(starts)
+    assert all(span > 0 for span in spans)
+    assert all(s + span < nxt for s, span, nxt in zip(starts, spans, starts[1:]))
+    assert not starts or (starts[0] >= 0 and starts[-1] + spans[-1] <= runs.n)
+    assert sum(spans) == runs.k
+    return bitmap(runs).tolist()
 
 
 @pytest.fixture

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_system
+from conftest import make_system, runs_of
 from qids import driver
 from qids.driver import (QidConfig, cumulative_calls, depth_rng, draw, measure,
                          quantum_iterative_deepening, report_to_json,
                          report_within_call_budget, within_call_budget)
 from qids.errors import InputError, NormDrift, SizeLimit
-from qids.grover import (amplified_probabilities, amplified_weights, optimal_iterations,
+from qids.grover import (amplified_probabilities, amplified_weights, bitmap, optimal_iterations,
                          predicted_success_exact)
-from qids.production import MAX_WALK_DEPTH, execute_sequence
+from qids.production import MAX_WALK_DEPTH, MarkedRuns, execute_sequence
 from qids.statevector import sample_index
 
 
@@ -86,9 +86,9 @@ def test_depth_rng_split_is_stable():
     assert draws_a != depth_rng(5, 4).integers(0, 1000, size=4).tolist()
 
 
-def reference_draw(marks, k, m, rng):
+def reference_draw(runs, m, rng):
     """The sequence `rng.choice` picks from the closed-form flat vector."""
-    return sample_index(amplified_probabilities(marks, k, m), rng) // 2
+    return sample_index(amplified_probabilities(bitmap(runs), runs.k, m), rng) // 2
 
 
 @st.composite
@@ -97,16 +97,15 @@ def registers(draw_from):
     k = draw_from(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
     marks = np.zeros(n, dtype=bool)
     marks[np.random.default_rng(draw_from(st.integers(0, 2**32 - 1))).permutation(n)[:k]] = True
-    return marks, k
+    return runs_of(marks)
 
 
 @settings(max_examples=400, deadline=None)
 @given(register=registers(), m=st.integers(0, 120), seed=st.integers(0, 2**32 - 1),
        depth=st.integers(0, 30))
 def test_draw_is_the_rng_choice_index(register, m, seed, depth):
-    marks, k = register
-    index, _ = draw(marks, k, m, seed, depth)
-    assert index == reference_draw(marks, k, m, depth_rng(seed, depth))
+    index, _ = draw(register, m, seed, depth)
+    assert index == reference_draw(register, m, depth_rng(seed, depth))
 
 
 class FixedDouble(np.random.Generator):
@@ -122,17 +121,15 @@ class FixedDouble(np.random.Generator):
 
 def test_draw_on_a_step_edge_falls_back_and_agrees(monkeypatch):
     # every flat step carries mass: 0.14 per marked entry, 0.0155 per unmarked one
-    marks = np.isin(np.arange(8), (2, 5, 6))
-    k, m = 3, 1
-    cdf = np.cumsum(amplified_probabilities(marks, k, m))
+    runs, m = MarkedRuns(8, [(2, 1), (5, 2)]), 1
+    cdf = np.cumsum(amplified_probabilities(bitmap(runs), runs.k, m))
     edges = np.concatenate(([0.0], cdf[:-1])) / cdf[-1]
     mids = (edges + np.append(edges[1:], 1.0)) / 2
-    for f in range(2 * len(marks)):
+    for f in range(2 * runs.n):
         monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(edges[f]))
-        assert draw(marks, k, m, 0, 3) == (reference_draw(marks, k, m, FixedDouble(edges[f])),
-                                           False)
+        assert draw(runs, m, 0, 3) == (reference_draw(runs, m, FixedDouble(edges[f])), False)
         monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(mids[f]))
-        assert draw(marks, k, m, 0, 3) == (f // 2, True)
+        assert draw(runs, m, 0, 3) == (f // 2, True)
 
 
 def test_perturbed_total_raises_norm_drift_before_the_draw(monkeypatch):
@@ -145,7 +142,7 @@ def test_perturbed_total_raises_norm_drift_before_the_draw(monkeypatch):
 
     monkeypatch.setattr(driver, "depth_rng", no_generator)
     with pytest.raises(NormDrift):
-        measure(np.arange(64) == 3, 1, 6, 0, 6)
+        measure(MarkedRuns(64, [(3, 1)]), 6, 0, 6)
 
 
 def test_skipping_empty_depths_does_not_change_outcome(fig_tree):

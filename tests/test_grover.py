@@ -220,7 +220,7 @@ def test_optimal_policy_reaches_half_mass_when_sparse():
 
 def test_prefix_structure_grows_counts():
     system = tree_system(3)
-    k = {d: int(marked_vector(system, "E", d).sum()) for d in range(7)}
+    k = {d: marked_vector(system, "E", d).k for d in range(7)}
     for d in range(3, 6):
         assert k[d + 1] >= 2 * k[d]
 
@@ -231,8 +231,8 @@ def test_prefix_structure_grows_counts_on_random_systems():
         system, start = random_system(np.random.default_rng(5600 + trial))
         b = system.branching_factor
         for d in range(5):
-            k_here = int(marked_vector(system, start, d).sum())
-            k_next = int(marked_vector(system, start, d + 1).sum())
+            k_here = marked_vector(system, start, d).k
+            k_next = marked_vector(system, start, d + 1).k
             assert k_next >= b * k_here
 
 

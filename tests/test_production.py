@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import sys
+import types
 import weakref
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (enumerate_paths, make_system, random_system, sequence_to_index,
-                      tree_system)
+from conftest import (enumerate_paths, make_system, marks_of, parity_system, random_system,
+                      runs_of, sequence_to_index, tree_system)
 from qids import production
 from qids.errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
 from qids.production import (MAX_WALK_DEPTH, Alphabet, ProductionSystem, Rule, apply_rule,
@@ -244,9 +245,9 @@ def test_sequence_index_round_trip():
 
 def test_marked_vector_matches_predicate(fig_tree):
     for d in range(5):
-        marks = marked_vector(fig_tree, "E", d)
+        runs = marked_vector(fig_tree, "E", d)
         for i, seq in enumerate(enumerate_paths(2, d)):
-            assert bool(marks[i]) == bool(halting_predicate(fig_tree, "E", seq))
+            assert runs.marked(i) == bool(halting_predicate(fig_tree, "E", seq))
 
 
 # two or three letters and a memory of 3 or 4 symbols make overflow common
@@ -254,19 +255,18 @@ def test_marked_vector_matches_predicate(fig_tree):
 @given(seed=st.integers(0, 2**32 - 1), b=st.integers(2, 3), n_letters=st.integers(2, 3),
        max_len=st.integers(3, 4), goal_match=st.sampled_from(("exact", "substring")))
 def test_marking_walk_matches_reference(seed, b, n_letters, max_len, goal_match):
-    """The unchecked walk's bitmap is the halting predicate on every sequence, and
-    classical_ids's d* is the first depth whose bitmap has marks."""
+    """The bitmap built from the unchecked walk's runs is the halting predicate on
+    every sequence, and classical_ids's d* is the first depth with marks."""
     system, start = random_system(np.random.default_rng(seed), b=b, n_letters=n_letters,
                                   max_len=max_len, goal_match=goal_match)
     cap = 6 if b == 2 else 5
     first_marked = None
     for d in range(cap + 1):
-        marks = marked_vector(system, start, d)
-        assert not marks.flags.writeable
+        runs = marked_vector(system, start, d)
         expected = [halting_predicate(system, start, index_to_sequence(i, b, d))
                     for i in range(b**d)]
-        assert marks.tolist() == [bool(x) for x in expected]
-        if first_marked is None and marks.any():
+        assert marks_of(runs) == [bool(x) for x in expected]
+        if first_marked is None and runs.k:
             first_marked = d
     assert classical_ids(system, start, cap).d_star == first_marked
 
@@ -274,7 +274,7 @@ def test_marking_walk_matches_reference(seed, b, n_letters, max_len, goal_match)
 def test_marked_vector_overflow_kills_subtree():
     # A -> AA -> AAA overflows a 2-symbol memory, so AAA -> B never reaches the goal
     system = make_system([("A", "AA"), ("AAA", "B")], goals=("B",), max_len=2)
-    assert not marked_vector(system, "A", 3).any()
+    assert marked_vector(system, "A", 3).k == 0
     assert classical_ids(system, "A", 3).d_star is None
 
 
@@ -290,8 +290,8 @@ words = st.text(alphabet="ab", max_size=3)
        goal_match=st.sampled_from(("exact", "substring")), max_len=st.integers(1, 4))
 def test_goal_length_bound_keeps_the_reference_bitmap(rules, start, goals, goal_match,
                                                       max_len):
-    """At every depth, those the goal-length bound skips included, the bitmap is
-    the halting predicate; the start may be longer than max_memory_len."""
+    """At every depth, those the goal-length bound skips included, the bitmap built
+    from the runs is the halting predicate; the start may be longer than max_memory_len."""
     system = ProductionSystem(alphabet=Alphabet(("a", "b")),
                               rules=tuple(Rule(pre, post) for pre, post in rules),
                               initial_states=("a",), goal_states=tuple(goals),
@@ -300,7 +300,7 @@ def test_goal_length_bound_keeps_the_reference_bitmap(rules, start, goals, goal_
     for d in range(6):
         expected = [bool(halting_predicate(system, start, index_to_sequence(i, b, d)))
                     for i in range(b**d)]
-        assert marked_vector(system, start, d).tolist() == expected
+        assert marks_of(marked_vector(system, start, d)) == expected
 
 
 def test_marking_skips_depths_whose_goal_lengths_are_out_of_reach(monkeypatch):
@@ -316,9 +316,9 @@ def test_marking_skips_depths_whose_goal_lengths_are_out_of_reach(monkeypatch):
     marked_vector.cache_clear()
     system = tree_system(12, "ab" * 6)
     for d in range(12):
-        assert not marked_vector(system, "E", d).any()
+        assert marked_vector(system, "E", d).k == 0
     assert tested == []
-    assert marked_vector(system, "E", 12).sum() == 1
+    assert marked_vector(system, "E", 12).k == 1
     assert len(tested) == 2**13 - 1
 
 
@@ -332,38 +332,94 @@ def test_skipped_depth_keeps_every_boundary_check(monkeypatch):
     with pytest.raises(AlphabetMismatch):
         marked_vector(system, "xE", 3)
     first = marked_vector(system, "E", 11)
-    assert first.shape == (2**11,) and not first.any()
-    assert not first.flags.writeable
+    assert first.n == 2**11 and first.k == 0 and not first.starts
     assert marked_vector(system, "E", 11) is first
 
 
+def test_interleaved_marks_make_a_third_as_many_runs_as_sequences():
+    """Even-parity goals mark the Thue-Morse leaves: no two runs merge past length 2."""
+    runs = marked_vector(parity_system(10), "E", 10)
+    expected = [bin(i).count("1") % 2 == 0 for i in range(2**10)]
+    assert marks_of(runs) == expected
+    assert len(runs.starts) == sum(x and not y for x, y in zip(expected, [False] + expected))
+    assert len(runs.starts) > 2**10 // 3
+    assert sys.getsizeof(runs) >= 16 * len(runs.starts)
+
+
 def test_marking_cache_is_bounded_by_bytes(monkeypatch):
-    # room for the depth-10 bitmap or the depth-9 one, not both
-    both = sys.getsizeof(np.zeros(2**10, dtype=bool)) + sys.getsizeof(np.zeros(2**9, dtype=bool))
+    """The bound counts the runs' bytes: room for one of two interleaved
+    markings, not both."""
+    marked_vector.cache_clear()
+    big, small = parity_system(10), parity_system(9)
+    both = sys.getsizeof(marked_vector(big, "E", 10)) + sys.getsizeof(marked_vector(small, "E", 9))
+    assert both > 2**10
     monkeypatch.setenv("QIDS_SIM_CAP", str(both - 1))
     marked_vector.cache_clear()
-    system = tree_system(10, "ab" * 5)
-    first = marked_vector(system, "E", 10)
-    assert marked_vector(system, "E", 10) is first
-    other = marked_vector(system, "E", 9)
-    assert marked_vector(system, "E", 9) is other
-    again = marked_vector(system, "E", 10)
-    assert again is not first and np.array_equal(again, first)
+    first = marked_vector(big, "E", 10)
+    assert marked_vector(big, "E", 10) is first
+    other = marked_vector(small, "E", 9)
+    assert marked_vector(small, "E", 9) is other
+    again = marked_vector(big, "E", 10)
+    assert again is not first and marks_of(again) == marks_of(first)
     marked_vector.cache_clear()
-    assert marked_vector(system, "E", 10) is not again
+    assert marked_vector(big, "E", 10) is not again
+
+
+def test_marking_cache_returns_an_entry_over_the_cap_without_keeping_it(monkeypatch):
+    system = parity_system(10)
+    monkeypatch.setenv("QIDS_SIM_CAP", str(2**10))
+    marked_vector.cache_clear()
+    runs = marked_vector(system, "E", 10)
+    assert sys.getsizeof(runs) > 2**10
+    assert marked_vector(system, "E", 10) is not runs
+    tree = tree_system(10, "ab" * 5)
+    small = marked_vector(tree, "E", 10)
+    assert sys.getsizeof(small) <= 2**10
+    assert marked_vector(tree, "E", 10) is small
+
+
+@st.composite
+def bitmaps(draw):
+    """A mark table over 1 to 300 sequences: none, all, alternating or random marks."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(("none", "all", "alternating", "random")))
+    if kind == "random":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if kind == "alternating":
+        return np.arange(n) % 2 == draw(st.integers(0, 1))
+    return np.full(n, kind == "all")
+
+
+@settings(max_examples=300, deadline=None)
+@given(marks=bitmaps())
+def test_rank_and_marked_match_cumsum_and_indexing(marks):
+    runs = runs_of(marks)
+    below = np.concatenate(([0], np.cumsum(marks)))
+    assert marks_of(runs) == marks.tolist()
+    assert [runs.rank(i) for i in range(len(marks) + 1)] == below.tolist()
+    assert [runs.marked(i) for i in range(len(marks))] == marks.tolist()
+    assert runs.k == below[-1]
+
+
+def test_production_binds_no_numpy():
+    """The classical semantics need no numpy: no global of `production` is or comes from it."""
+    for name, value in vars(production).items():
+        origin = (value.__name__ if isinstance(value, types.ModuleType)
+                  else getattr(value, "__module__", None))
+        assert not (origin or "").startswith("numpy"), name
 
 
 def test_walks_leave_nothing_for_the_cyclic_gc():
-    """A cleared bitmap is freed at once, and a classical search leaves no cycle."""
+    """Cleared runs are freed at once, and a classical search leaves no cycle."""
     marked_vector.cache_clear()
     system = tree_system(8, "ab" * 4)
     gc.collect()
     gc.disable()
     try:
-        bitmap = weakref.ref(marked_vector(system, "E", 8))
-        assert bitmap() is not None
+        runs = weakref.ref(marked_vector(system, "E", 8))
+        assert runs() is not None
         marked_vector.cache_clear()
-        assert bitmap() is None
+        assert runs() is None
         classical_ids(system, "E", 8)
         assert gc.collect() == 0
     finally:
