@@ -159,20 +159,19 @@ def _candidate(runs: MarkedRuns, p_marked: float, p_unmarked: float, t: float) -
     the unmarked gap after it. None when t lies past the last run and no
     unmarked entry carries weight.
     """
-    starts, before = runs.starts, runs.before
-
     def mass_below(r: int) -> float:
-        return 2 * (before[r] * p_marked + (starts[r] - before[r]) * p_unmarked)
+        start, _, below = runs.run(r)
+        return 2 * (below * p_marked + (start - below) * p_unmarked)
 
-    r = bisect_right(range(len(starts)), t, key=mass_below) - 1
+    r = bisect_right(range(len(runs)), t, key=mass_below) - 1
     if r < 0:
         first, base = 0, 0.0
     else:
+        start, span, _ = runs.run(r)
         base = mass_below(r)
-        span = before[r + 1] - before[r]
         if t - base < 2 * span * p_marked:
-            return 2 * starts[r] + int((t - base) // p_marked)
-        first, base = starts[r] + span, base + 2 * span * p_marked
+            return 2 * start + int((t - base) // p_marked)
+        first, base = start + span, base + 2 * span * p_marked
     if p_unmarked > 0:
         return 2 * first + int((t - base) // p_unmarked)
     return None
@@ -183,7 +182,7 @@ def _inverse_cdf(runs: MarkedRuns, p_marked: float, p_unmarked: float, total: fl
     """The sequence whose flat step of the cumulative distribution holds u.
 
     The flat entries 2i and 2i + 1 of sequence i weigh p_marked if i is
-    marked and p_unmarked if not, so with M(i) = `runs.rank(i)` the number
+    marked and p_unmarked if not, so with M(i) from `runs.locate(i)` the number
     of marked sequences below i the mass below flat index 2i + h is
 
         S(2i + h) = 2 * (M(i) * p_marked + (i - M(i)) * p_unmarked) + h * w(i).
@@ -211,8 +210,8 @@ def _inverse_cdf(runs: MarkedRuns, p_marked: float, p_unmarked: float, total: fl
     if flat is None:
         return None
     index, h = divmod(min(max(flat, 0), 2 * n_paths - 1), 2)
-    below = runs.rank(index)
-    weight = p_marked if runs.marked(index) else p_unmarked
+    below, marked = runs.locate(index)
+    weight = p_marked if marked else p_unmarked
     lo = 2 * (below * p_marked + (index - below) * p_unmarked) + h * weight
     if u - lo / total > band and (lo + weight) / total - u > band:
         return index

@@ -36,8 +36,8 @@ def bitmap(runs: MarkedRuns) -> np.ndarray:
     """The mark table of `runs`: entry i is True when sequence i is marked."""
     check_size(runs.n, "mark bitmap")
     marks = np.zeros(runs.n, dtype=bool)
-    for start, lo, hi in zip(runs.starts, runs.before, runs.before[1:]):
-        marks[start:start + hi - lo] = True
+    for start, span, _ in runs:
+        marks[start:start + span] = True
     return marks
 
 

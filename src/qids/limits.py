@@ -3,8 +3,10 @@
 Dense amplitude storage means memory scales linearly with the number of
 basis states, so the marking walk's path space, the closed-form probability
 vector (built by the search only when its draw falls back to it) and
-statevector allocation all refuse to grow past a cap. The marking cache
-holds at most the cap in bytes. The same cap bounds classical iterative
+statevector allocation all refuse to grow past a cap. The marking walk's
+runs are not held to the cap itself: interleaved marks weigh up to about 8
+bytes a sequence, so one walk may build about 8 times the cap in bytes. The
+marking cache holds at most the cap in bytes. The same cap bounds classical iterative
 deepening's node expansions and the halt demo's step trace. The default
 (2**22) can be overridden with the QIDS_SIM_CAP environment variable.
 """

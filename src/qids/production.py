@@ -17,9 +17,9 @@ whole memory or occur in it. Unknown fields are rejected.
 
 The marking walk `marked_vector` evaluates the halting predicate over all
 b**d sequences of one depth and returns the halting ones as `MarkedRuns`:
-sorted runs of consecutive sequence indices, which answer k, "is sequence i
-marked" and the rank M(i) with one binary search each. No b**d bitmap is
-built; the dense reference in `grover` builds one from the runs when it needs
+sorted, read-only runs of consecutive sequence indices, which answer k and,
+with one binary search, the rank M(i) and "is sequence i marked". No b**d
+bitmap is built; the dense reference in `grover` builds one from the runs when it needs
 it. This module imports no numpy.
 """
 
@@ -30,7 +30,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
 from .jsonfields import (check_object, load_json_file, read_field, read_list_of,
@@ -265,55 +265,100 @@ def check_walk_depth(depth: int) -> None:
 class MarkedRuns:
     """The marked sequences of one depth as sorted runs of consecutive indices.
 
-    Run r covers `before[r + 1] - before[r]` sequences from index
-    `starts[r]`; `before[r]` marked sequences lie below it and `before[-1]`
-    is k, the number marked of the n sequences. `add` appends a run at or
-    past the end of the last one and merges the two when they touch, so no
-    two runs touch: there are at most min(k, n - k + 1) of them, about 16
-    bytes each. `rank` and `marked` are one binary search over the starts
-    each; `sys.getsizeof` counts the two arrays.
+    Built from (start, span) pairs in index order, each at or past the end of
+    the one before; pairs that touch merge, so no two runs touch and there
+    are at most min(k, n - k + 1) runs, about 16 bytes each. Once built the
+    runs are read-only: n and k have no setter and the storage is a pair of
+    read-only views, so the one object that the marking cache hands to every
+    caller cannot be changed by any of them. `locate` answers the rank M(i)
+    and "is sequence i marked" with one binary search over the run starts;
+    `run(r)` and iteration give each run as (start, span, marked sequences
+    below it), the only form in which the layout leaves this class.
+    `sys.getsizeof` counts the storage.
     """
 
-    __slots__ = ("n", "starts", "before", "__weakref__")
+    __slots__ = ("_n", "_starts", "_before", "__weakref__")
 
     def __init__(self, n: int, runs: Iterable[tuple[int, int]] = ()):
-        self.n = n
-        self.starts = array("q")
-        self.before = array("q", [0])
-        for start, span in runs:
-            self.add(start, span)
+        def add_each(add: Callable[[int, int], None]) -> None:
+            for start, span in runs:
+                add(start, span)
+
+        self._build(n, add_each)
+
+    @classmethod
+    def filled(cls, n: int, fill: Callable[[Callable[[int, int], None]], None]) -> MarkedRuns:
+        """The runs that `fill(add)` marks, where `add(start, span)` marks `span`
+        sequences from `start`, at or past the end of the last run added."""
+        runs = cls.__new__(cls)
+        runs._build(n, fill)
+        return runs
+
+    def _build(self, n: int, fill: Callable[[Callable[[int, int], None]], None]) -> None:
+        # run r starts at starts[r] and has before[r] marked sequences below it;
+        # before[r + 1] - before[r] is its span and before[-1] is k
+        starts, before = array("q"), array("q", [0])
+
+        def add(start: int, span: int) -> None:
+            if starts and starts[-1] + before[-1] - before[-2] == start:
+                before[-1] += span
+            else:
+                starts.append(start)
+                before.append(before[-1] + span)
+
+        fill(add)
+        self._n = n
+        self._starts = memoryview(starts).toreadonly()
+        self._before = memoryview(before).toreadonly()
+
+    @property
+    def n(self) -> int:
+        return self._n
 
     @property
     def k(self) -> int:
-        return self.before[-1]
+        return self._before[-1]
 
     def sum(self) -> int:
         """k, under the name a bitmap's count has; `bench/test_bench.py` still reads it."""
         return self.k
 
-    def add(self, start: int, span: int) -> None:
-        """Mark `span` sequences from `start`, which is at or past the last run's end."""
-        starts, before = self.starts, self.before
-        if starts and starts[-1] + before[-1] - before[-2] == start:
-            before[-1] += span
-        else:
-            starts.append(start)
-            before.append(before[-1] + span)
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def run(self, r: int) -> tuple[int, int, int]:
+        """Run r as (start, span, the number of marked sequences below it)."""
+        below = self._before[r]
+        return self._starts[r], self._before[r + 1] - below, below
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        before = self._before
+        for start, below, above in zip(self._starts, before, before[1:]):
+            yield start, above - below, below
+
+    def locate(self, i: int) -> tuple[int, bool]:
+        """(M(i), whether sequence i is marked); M(i) counts the marked sequences below i."""
+        starts, before = self._starts, self._before
+        r = bisect_right(starts, i) - 1
+        if r < 0:
+            return 0, False
+        below = before[r] + i - starts[r]
+        if below < before[r + 1]:
+            return below, True
+        return before[r + 1], False
 
     def rank(self, i: int) -> int:
         """M(i), the number of marked sequences below index i."""
-        r = bisect_right(self.starts, i) - 1
-        if r < 0:
-            return 0
-        return min(self.before[r] + i - self.starts[r], self.before[r + 1])
+        return self.locate(i)[0]
 
     def marked(self, i: int) -> bool:
         """Whether sequence i is marked."""
-        r = bisect_right(self.starts, i) - 1
-        return r >= 0 and self.before[r] + i - self.starts[r] < self.before[r + 1]
+        return self.locate(i)[1]
 
     def __sizeof__(self) -> int:
-        return object.__sizeof__(self) + sys.getsizeof(self.starts) + sys.getsizeof(self.before)
+        views = (self._starts, self._before)
+        return (object.__sizeof__(self) + sum(sys.getsizeof(view) for view in views)
+                + sum(sys.getsizeof(view.obj) for view in views))
 
 
 def _byte_bounded_cache(walk):
@@ -382,10 +427,11 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> MarkedRuns:
     rule over the alphabet stays in it, so once the rules (at construction)
     and the start string (once per walk) are checked, no step needs an
     alphabet check; this holds for every walk in this module. The runs are
-    cached and must not be changed (`marked_vector.cache_clear()` empties
-    the cache).
+    read-only, so the cache hands the same object to every caller
+    (`marked_vector.cache_clear()` empties the cache).
 
-    The walk is skipped, leaving no runs, when no goal's length is in reach. Each rewrite changes the length by a rule step
+    The walk is skipped, leaving no runs, when no goal's length is in reach.
+    Each rewrite changes the length by a rule step
     `len(action) - len(precondition)`, so the memories within `d` rewrites of
     a length-`n0` start have lengths from `min(n0, n0 + d * min_step)` to
     `max(n0, min(n0 + d * max_step, max_memory_len))`: both ends are linear in
@@ -397,34 +443,35 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> MarkedRuns:
     n = b**d
     check_size(n, f"path space b={b} d={d}")
     system.alphabet.check_string(start, "start state")
-    runs = MarkedRuns(n)
-    mark = runs.add
     pairs = [(rule.precondition, rule.action) for rule in system.rules]
     max_len = system.max_memory_len
     is_goal = _goal_test(system)
     spans = [b ** (d - depth) for depth in range(d + 1)]
 
-    def fill(memory: str, depth: int, base: int) -> None:
-        if is_goal(memory):
-            mark(base, spans[depth])
-            return
-        if depth == d:
-            return
-        depth += 1
-        child_span = spans[depth]
-        for pre, post in pairs:
-            if pre in memory:
-                nxt = memory.replace(pre, post, 1)
-                if len(nxt) <= max_len:
-                    fill(nxt, depth, base)
-            base += child_span
+    def walk(mark: Callable[[int, int], None]) -> None:
+        def fill(memory: str, depth: int, base: int) -> None:
+            if is_goal(memory):
+                mark(base, spans[depth])
+                return
+            if depth == d:
+                return
+            depth += 1
+            child_span = spans[depth]
+            for pre, post in pairs:
+                if pre in memory:
+                    nxt = memory.replace(pre, post, 1)
+                    if len(nxt) <= max_len:
+                        fill(nxt, depth, base)
+                base += child_span
 
-    try:
-        if _goal_in_reach(system, len(start), d):
+        try:
             fill(start, 0, 0)
-    finally:
-        del fill  # it reaches itself through its cell; without this, `runs` waits for the cyclic GC
-    return runs
+        finally:
+            del fill  # it reaches itself through its cell; without this it waits for the cyclic GC
+
+    if not _goal_in_reach(system, len(start), d):
+        return MarkedRuns(n)
+    return MarkedRuns.filled(n, walk)
 
 
 def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> ClassicalSearchResult:

@@ -47,14 +47,27 @@ def runs_of(marks) -> MarkedRuns:
 def marks_of(runs: MarkedRuns) -> list[bool]:
     """The bitmap built from `runs`, as a list, once their layout is checked:
     sorted, no two touching, within the n sequences, spans summing to k."""
-    starts, before = list(runs.starts), list(runs.before)
-    spans = [hi - lo for lo, hi in zip(before, before[1:])]
-    assert before[0] == 0 and len(spans) == len(starts)
+    starts, spans, below = zip(*runs) if len(runs) else ((), (), ())
+    assert list(below) == list(itertools.accumulate(spans, initial=0))[:-1]
     assert all(span > 0 for span in spans)
     assert all(s + span < nxt for s, span, nxt in zip(starts, spans, starts[1:]))
     assert not starts or (starts[0] >= 0 and starts[-1] + spans[-1] <= runs.n)
     assert sum(spans) == runs.k
+    assert list(runs) == [runs.run(r) for r in range(len(runs))]
     return bitmap(runs).tolist()
+
+
+def assert_read_only(runs: MarkedRuns) -> None:
+    """Neither n nor k can be set, nothing can be added, and the runs'
+    storage refuses writes."""
+    with pytest.raises(AttributeError):
+        runs.n = runs.n + 1
+    with pytest.raises(AttributeError):
+        runs.k = runs.k + 1
+    assert not hasattr(runs, "add")
+    assert runs._starts.readonly and runs._before.readonly
+    with pytest.raises(TypeError):
+        runs._before[-1] = runs.k + 1
 
 
 @pytest.fixture

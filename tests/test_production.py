@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (enumerate_paths, make_system, marks_of, parity_system, random_system,
-                      runs_of, sequence_to_index, tree_system)
+from conftest import (assert_read_only, enumerate_paths, make_system, marks_of, parity_system,
+                      random_system, runs_of, sequence_to_index, tree_system)
 from qids import production
 from qids.errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
 from qids.production import (MAX_WALK_DEPTH, Alphabet, ProductionSystem, Rule, apply_rule,
@@ -263,6 +263,7 @@ def test_marking_walk_matches_reference(seed, b, n_letters, max_len, goal_match)
     first_marked = None
     for d in range(cap + 1):
         runs = marked_vector(system, start, d)
+        assert_read_only(runs)
         expected = [halting_predicate(system, start, index_to_sequence(i, b, d))
                     for i in range(b**d)]
         assert marks_of(runs) == [bool(x) for x in expected]
@@ -332,7 +333,8 @@ def test_skipped_depth_keeps_every_boundary_check(monkeypatch):
     with pytest.raises(AlphabetMismatch):
         marked_vector(system, "xE", 3)
     first = marked_vector(system, "E", 11)
-    assert first.n == 2**11 and first.k == 0 and not first.starts
+    assert first.n == 2**11 and first.k == 0 and len(first) == 0
+    assert_read_only(first)
     assert marked_vector(system, "E", 11) is first
 
 
@@ -341,9 +343,9 @@ def test_interleaved_marks_make_a_third_as_many_runs_as_sequences():
     runs = marked_vector(parity_system(10), "E", 10)
     expected = [bin(i).count("1") % 2 == 0 for i in range(2**10)]
     assert marks_of(runs) == expected
-    assert len(runs.starts) == sum(x and not y for x, y in zip(expected, [False] + expected))
-    assert len(runs.starts) > 2**10 // 3
-    assert sys.getsizeof(runs) >= 16 * len(runs.starts)
+    assert len(runs) == sum(x and not y for x, y in zip(expected, [False] + expected))
+    assert len(runs) > 2**10 // 3
+    assert sys.getsizeof(runs) >= 16 * len(runs)
 
 
 def test_marking_cache_is_bounded_by_bytes(monkeypatch):
@@ -398,6 +400,8 @@ def test_rank_and_marked_match_cumsum_and_indexing(marks):
     assert marks_of(runs) == marks.tolist()
     assert [runs.rank(i) for i in range(len(marks) + 1)] == below.tolist()
     assert [runs.marked(i) for i in range(len(marks))] == marks.tolist()
+    assert [runs.locate(i) for i in range(len(marks))] == list(zip(below[:-1].tolist(),
+                                                                   marks.tolist()))
     assert runs.k == below[-1]
 
 
