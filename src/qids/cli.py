@@ -21,15 +21,14 @@ import time
 
 import numpy as np
 
-from .driver import (QidConfig, cumulative_calls, quantum_iterative_deepening,
-                     report_to_json, within_call_budget)
+from .driver import (QidConfig, cumulative_calls, optimal_iterations,
+                     predicted_success_asymptotic, predicted_success_exact,
+                     quantum_iterative_deepening, report_to_json, within_call_budget)
 from .errors import InputError, QidsError
-from .grover import (optimal_iterations, predicted_success_asymptotic,
-                     predicted_success_exact, simulated_success)
 from .jsonfields import save_json_file
 from .limits import check_float_range, sim_cap
 from .production import classical_ids, load_system, save_system
-from .statevector import halt_timing_demo, measure
+from .statevector import halt_timing_demo, measure, simulated_success
 from .turing import compile_tm, load_tm
 from .verify import run_checks, ALL_CHECKS
 

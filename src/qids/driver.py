@@ -7,22 +7,29 @@ that the classical predicate confirms as halting ends the search; otherwise
 the depth increases and the superposition is rebuilt from scratch, which is
 what restores the interference pattern a failed measurement destroyed.
 
-The round is not simulated. Its state has only two Born weights, one per
-flat entry of a marked sequence and one per unmarked entry
-(`grover.amplified_weights`), so `measure` inverts their cumulative
-distribution in closed form: one uniform double from the depth's generator,
-a binary search over the runs of marked sequences that
-`production.marked_vector` returns and one division, with no length-2N
-vector, no b**d bitmap and whatever the iterate count. The runs also give k
-and whether the measured sequence halts. It returns the index that
-`rng.choice` over the flat vector (`grover.amplified_probabilities`) draws
-from that same double, so seeded reports match the dense engine's, which the
-`engine-agreement` check ties to that vector. The vector, and the bitmap
-it is spread from, are built only when the double falls within rounding
-distance of a step edge, to draw from it as before. The `draw-agreement`
-check holds the inverse draw to `rng.choice`, so a numpy whose `choice`
-draws differently fails the gate instead of silently changing seeded
-reports.
+The round is not simulated; this module holds its closed forms instead.
+From a uniform start the state stays in the span of the marked and the
+unmarked uniform superpositions, so with k of N sequences marked the marked
+mass after m iterates is
+
+    P(m) = sin**2((2m + 1) * arcsin(sqrt(k/N)))
+
+(`predicted_success_exact`), and the state has only two Born weights, one
+per flat entry of a marked sequence and one per unmarked entry
+(`amplified_weights`). `measure` inverts their cumulative distribution in
+closed form: one uniform double from the depth's generator, a binary search
+over the runs of marked sequences that `production.marked_vector` returns
+and one division, with no length-2N vector, no b**d bitmap and whatever the
+iterate count. The runs also give k, and the draw hands back whether the
+measured sequence halts. It returns the index that `rng.choice` over the
+flat vector (`amplified_probabilities`) draws from that same double, so
+seeded reports match the dense engine's: the `engine-agreement` check ties
+that vector to `statevector.amplified_state`, the reference that runs the
+iterate itself. The vector, and the bitmap it is spread from, are built
+only when the double falls within rounding distance of a step edge, to draw
+from it as before. The `draw-agreement` check holds the inverse draw to
+`rng.choice`, so a numpy whose `choice` draws differently fails the gate
+instead of silently changing seeded reports.
 
 Rebuilding makes the cost of re-scanning shallow levels geometric: with the
 optimal iterate policy the cumulative oracle-call count through depth d
@@ -50,13 +57,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InputError, SizeLimit
-from .grover import (amplified_probabilities, amplified_weights, bitmap, literal_iterations,
-                     optimal_iterations, predicted_success_exact)
-from .limits import check_float_range, sim_cap
+from .errors import InputError, KZero, SizeLimit
+from .limits import check_float_range, check_size, sim_cap
 from .production import (ClassicalSearchResult, MarkedRuns, ProductionSystem, RuleSequence,
                          check_walk_depth, execute_sequence, index_to_sequence, marked_vector)
-from .statevector import check_total, sample_index
+from .statevector import bitmap, check_total, sample_index
 
 log = logging.getLogger(__name__)
 
@@ -145,10 +150,79 @@ def default_depth_cap(b: int) -> int:
     return d
 
 
+def optimal_iterations(n_paths: int, k: int) -> int:
+    """Iterate count floor((pi/4) * sqrt(N/k)); requires at least one mark."""
+    if k == 0:
+        raise KZero("iteration policy undefined with zero marked sequences")
+    if not 1 <= k <= n_paths:
+        raise InputError(f"need 1 <= k <= N, got k={k} N={n_paths}")
+    return max(0, math.floor(math.pi / 4 * math.sqrt(n_paths / k)))
+
+
+def literal_iterations(n_paths: int) -> int:
+    """The root-of-search-space count floor(sqrt(N)), kept for comparison runs."""
+    return math.floor(math.sqrt(n_paths))
+
+
 def iterate_count(n_paths: int, k_policy: int, policy: str) -> int:
     if policy == "faithful":
         return literal_iterations(n_paths)
     return optimal_iterations(n_paths, k_policy)
+
+
+def predicted_success_exact(n_paths: int, k: int, m: int) -> float:
+    """Exact marked mass after m iterates from uniform: sin**2((2m+1) asin(sqrt(k/N)))."""
+    if not 1 <= k <= n_paths:
+        raise InputError(f"need 1 <= k <= N, got k={k} N={n_paths}")
+    if m < 0:
+        raise InputError("iterate count must be >= 0")
+    return math.sin((2 * m + 1) * math.asin(math.sqrt(k / n_paths))) ** 2
+
+
+def predicted_success_asymptotic(b: int, d: int, k: int) -> float:
+    """Success estimate with a real-valued iterate count.
+
+    Evaluates sin**2(theta/2 * (pi/2 * sqrt(N/k) + 1)) with
+    theta = 2*arccos(sqrt((N-k)/N)). The un-floored count makes this an
+    asymptotic form: accurate for large N/k, an underestimate at small N
+    (see the reconciliation table in the verification suite).
+    """
+    n_paths = b**d
+    if k == 0:
+        raise KZero("the closed form is undefined with zero marked sequences")
+    if not 1 <= k <= n_paths:
+        raise InputError(f"need 1 <= k <= b**d, got k={k} N={n_paths}")
+    theta = 2 * math.acos(math.sqrt((n_paths - k) / n_paths))
+    return math.sin(theta / 2 * (math.pi / 2 * math.sqrt(n_paths / k) + 1)) ** 2
+
+
+def amplified_weights(n_paths: int, k: int, m: int) -> tuple[float, float]:
+    """(p_marked, p_unmarked): the Born weight of one flat entry after m iterates.
+
+    Each of the k marked sequences carries sin**2((2m+1) theta)/k and each
+    unmarked one cos**2((2m+1) theta)/(N-k), with theta = asin(sqrt(k/N)),
+    split evenly over the two halt-bit values. k = 0 leaves the uniform
+    1/(2N); k = N has no unmarked weight.
+    """
+    if not 0 <= k <= n_paths:
+        raise InputError(f"need 0 <= k <= N, got k={k} N={n_paths}")
+    if m < 0:
+        raise InputError("iterate count must be >= 0")
+    angle = (2 * m + 1) * math.asin(math.sqrt(k / n_paths))
+    p_marked = math.sin(angle) ** 2 / (2 * k) if k else 0.0
+    p_unmarked = math.cos(angle) ** 2 / (2 * (n_paths - k)) if k < n_paths else 0.0
+    return p_marked, p_unmarked
+
+
+def amplified_probabilities(marks: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Flat Born probabilities of `statevector.amplified_state` after m iterates, in closed form.
+
+    Each entry is one of the two `amplified_weights`, in the flat layout
+    p*2 + h of the dense register.
+    """
+    p_marked, p_unmarked = amplified_weights(len(marks), k, m)
+    check_size(2 * len(marks), "probability vector")
+    return np.repeat(np.where(marks, p_marked, p_unmarked), 2)
 
 
 def _candidate(runs: MarkedRuns, p_marked: float, p_unmarked: float, t: float) -> int | None:
@@ -178,8 +252,8 @@ def _candidate(runs: MarkedRuns, p_marked: float, p_unmarked: float, t: float) -
 
 
 def _inverse_cdf(runs: MarkedRuns, p_marked: float, p_unmarked: float, total: float,
-                 u: float) -> int | None:
-    """The sequence whose flat step of the cumulative distribution holds u.
+                 u: float) -> tuple[int, bool] | None:
+    """(the sequence whose flat step of the cumulative distribution holds u, its mark).
 
     The flat entries 2i and 2i + 1 of sequence i weigh p_marked if i is
     marked and p_unmarked if not, so with M(i) from `runs.locate(i)` the number
@@ -214,41 +288,43 @@ def _inverse_cdf(runs: MarkedRuns, p_marked: float, p_unmarked: float, total: fl
     weight = p_marked if marked else p_unmarked
     lo = 2 * (below * p_marked + (index - below) * p_unmarked) + h * weight
     if u - lo / total > band and (lo + weight) / total - u > band:
-        return index
+        return index, marked
     return None
 
 
-def draw(runs: MarkedRuns, m: int, seed: int, depth: int) -> tuple[int, bool]:
-    """(sequence index measured after m iterates, whether the inverse CDF gave it).
+def draw(runs: MarkedRuns, m: int, seed: int, depth: int) -> tuple[int, bool, bool]:
+    """(index, marked, fast): the sequence measured after m iterates, its mark,
+    and whether the inverse CDF gave it.
 
     The index is the one `sample_index(amplified_probabilities(bitmap(runs),
     runs.k, m), depth_rng(seed, depth)) // 2` draws. The closed-form total
     is checked for NormDrift before the depth's generator is touched; the
     bitmap and the probability vector are built only when the drawn double
-    sits on a step edge.
+    sits on a step edge. Either way the runs are searched for the index once.
     """
     n_paths, k = runs.n, runs.k
     p_marked, p_unmarked = amplified_weights(n_paths, k, m)
     total = 2 * (k * p_marked + (n_paths - k) * p_unmarked)
     check_total(total)
-    index = _inverse_cdf(runs, p_marked, p_unmarked, total, depth_rng(seed, depth).random())
-    if index is not None:
-        return index, True
+    found = _inverse_cdf(runs, p_marked, p_unmarked, total, depth_rng(seed, depth).random())
+    if found is not None:
+        return *found, True
     probs = amplified_probabilities(bitmap(runs), k, m)
-    return sample_index(probs, depth_rng(seed, depth)) // 2, False
+    index = sample_index(probs, depth_rng(seed, depth)) // 2
+    return index, runs.locate(index)[1], False
 
 
-def measure(runs: MarkedRuns, m: int, seed: int, depth: int) -> int:
-    """Measure the round at `depth`: the sequence index drawn after m iterates.
+def measure(runs: MarkedRuns, m: int, seed: int, depth: int) -> tuple[int, bool]:
+    """Measure the round at `depth`: (the sequence index drawn after m iterates, its mark).
 
     The closed-form counterpart of `statevector.measure` on the amplified
     state: the same Born draw with the depth's own generator, by the exact
     inverse-CDF `draw`. Logs the round as one INFO line.
     """
-    index, fast = draw(runs, m, seed, depth)
+    index, marked, fast = draw(runs, m, seed, depth)
     log.info("depth=%d k=%d m=%d index=%d halting=%s draw=%s", depth, runs.k, m, index,
-             runs.marked(index), "inverse-cdf" if fast else "vector")
-    return index
+             marked, "inverse-cdf" if fast else "vector")
+    return index, marked
 
 
 def quantum_iterative_deepening(system: ProductionSystem, start: str,
@@ -283,9 +359,8 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
             continue
         k_policy = k if config.counting_mode == "exact" else 1
         m = iterate_count(n_paths, max(k_policy, 1), config.iterate_policy)
-        p_index = measure(runs, m, config.seed, depth)
+        p_index, halting = measure(runs, m, config.seed, depth)
         seq = index_to_sequence(p_index, b, depth)
-        halting = runs.marked(p_index)
         total_calls += m
         predicted = predicted_success_exact(n_paths, k, m) if k else 0.0
         per_depth.append(DepthRecord(depth, n_paths, k, m, m, predicted, False,

@@ -19,8 +19,8 @@ The marking walk `marked_vector` evaluates the halting predicate over all
 b**d sequences of one depth and returns the halting ones as `MarkedRuns`:
 sorted, read-only runs of consecutive sequence indices, which answer k and,
 with one binary search, the rank M(i) and "is sequence i marked". No b**d
-bitmap is built; the dense reference in `grover` builds one from the runs when it needs
-it. This module imports no numpy.
+bitmap is built; the dense reference in `statevector` builds one from the runs when it
+needs it. This module imports no numpy.
 """
 
 from __future__ import annotations
@@ -132,7 +132,6 @@ class ExecutionResult:
     trace: list[str]
     halted: bool
     halt_depth: int | None
-    applied: int
     stop_reason: str  # "completed" | "inapplicable" | "overflow"
 
 
@@ -198,8 +197,7 @@ def _walk(system: ProductionSystem, start: str, seq: Sequence[int]) -> Execution
     trace = [memory]
     halt_depth = 0 if is_goal(memory) else None
     stop_reason = "completed"
-    applied = 0
-    for step, idx in enumerate(seq):
+    for step, idx in enumerate(seq, 1):
         if not 0 <= idx < b:
             raise InputError(f"rule index {idx} out of range for {b} rules")
         rule = system.rules[idx]
@@ -212,10 +210,9 @@ def _walk(system: ProductionSystem, start: str, seq: Sequence[int]) -> Execution
             break
         memory = nxt
         trace.append(memory)
-        applied = step + 1
         if halt_depth is None and is_goal(memory):
-            halt_depth = applied
-    return ExecutionResult(trace, halt_depth is not None, halt_depth, applied, stop_reason)
+            halt_depth = step
+    return ExecutionResult(trace, halt_depth is not None, halt_depth, stop_reason)
 
 
 def execute_sequence(system: ProductionSystem, start: str, seq: Sequence[int]) -> ExecutionResult:
@@ -228,7 +225,7 @@ def execute_sequence(system: ProductionSystem, start: str, seq: Sequence[int]) -
     result = _walk(system, start, tuple(seq))
     if result.stop_reason == "overflow" and not result.halted:
         raise MemoryOverflow(
-            f"sequence {tuple(seq)} overflows memory after {result.applied} steps"
+            f"sequence {tuple(seq)} overflows memory after {len(result.trace) - 1} steps"
         )
     return result
 
@@ -346,14 +343,6 @@ class MarkedRuns:
         if below < before[r + 1]:
             return below, True
         return before[r + 1], False
-
-    def rank(self, i: int) -> int:
-        """M(i), the number of marked sequences below index i."""
-        return self.locate(i)[0]
-
-    def marked(self, i: int) -> bool:
-        """Whether sequence i is marked."""
-        return self.locate(i)[1]
 
     def __sizeof__(self) -> int:
         views = (self._starts, self._before)

@@ -8,22 +8,21 @@ halt-observation demo. Its ravel() is the flat layout
     flat = label * 2 + h,
 
 with h least significant, which is the layout of
-`grover.amplified_probabilities`. Operations are pure functions returning
+`driver.amplified_probabilities`. Operations are pure functions returning
 fresh arrays; callers read `state[:, h]` for a halt-bit slice,
 `np.linalg.norm(state)` for the norm and `np.abs(state.ravel()) ** 2` for
 the Born probabilities.
 
-The search driver does not simulate amplification, and it builds no mark
-bitmap or probability vector unless it must: from the runs of marked
-sequences, `driver.measure` finds the sequence that `sample_index` (the
-sampler `measure` uses) would draw from the closed-form vector by inverting
-the two-valued cumulative distribution directly, and falls back to
-`sample_index` over that vector only when the draw lands within rounding
-distance of a step edge. That equality rests on how numpy's `choice` turns
-one double into an index, which the `draw-agreement` check of the
-verification suite guards. The dense amplified state is the reference the
-suite checks the closed-form vector against. `check_total`, which the draw
-also calls, is plain float arithmetic.
+This is the reference engine. Its search iterate is one oracle application
+plus one diffusion. The oracle XORs the mark table (one bool per sequence,
+which `bitmap` builds from the runs `production.marked_vector` returns) into
+the halt bit; with the halt bit prepared in (|0> - |1>)/sqrt(2) that is a
+phase flip on marked sequences. Diffusion reflects sequence amplitudes about
+their mean. These functions take N from len(marks). The search driver does
+not run them; it draws from the closed form of the amplified state, and the
+verification suite checks that closed form against `amplified_state`. So
+this module imports nothing from `driver`: the reference does not depend on
+the engine it checks.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from .errors import InputError, NormDrift, ZeroProbability
 from .limits import check_size
-from .production import ProductionSystem, deterministic_trace
+from .production import MarkedRuns, ProductionSystem, deterministic_trace
 
 MEASURE_NORM_TOL = 1e-6
 PROJECT_FLOOR = 1e-12
@@ -59,6 +58,52 @@ def prepare_halt_minus(state: np.ndarray) -> np.ndarray:
     out[:, 1] = -out[:, 0] / np.sqrt(2)
     out[:, 0] /= np.sqrt(2)
     return out
+
+
+def bitmap(runs: MarkedRuns) -> np.ndarray:
+    """The mark table of `runs`: entry i is True when sequence i is marked."""
+    check_size(runs.n, "mark bitmap")
+    marks = np.zeros(runs.n, dtype=bool)
+    for start, span, _ in runs:
+        marks[start:start + span] = True
+    return marks
+
+
+def apply_oracle(state: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """XOR the mark bitmap into the halt bit: swap the halt-bit pair of each marked sequence."""
+    # a 0/1 integer array would index positions instead of masking them
+    marks = np.asarray(marks, dtype=bool)
+    if len(marks) != len(state):
+        raise InputError(f"oracle domain {len(marks)} != sequence register size {len(state)}")
+    out = state.copy()
+    out[marks] = state[marks, ::-1]
+    return out
+
+
+def apply_diffusion(state: np.ndarray, coeff: float = 2.0) -> np.ndarray:
+    """Map each halt-bit slice x to coeff * mean(x) - x; 2.0 reflects about the mean."""
+    out = np.empty_like(state)
+    for h in (0, 1):
+        out[:, h] = coeff * state[:, h].mean() - state[:, h]
+    return out
+
+
+def grover_iterate(state: np.ndarray, marks: np.ndarray, coeff: float = 2.0) -> np.ndarray:
+    return apply_diffusion(apply_oracle(state, marks), coeff)
+
+
+def amplified_state(marks: np.ndarray, m: int, coeff: float = 2.0) -> np.ndarray:
+    """Uniform start over the len(marks) sequences, halt bit in the minus state, m iterates."""
+    state = prepare_halt_minus(uniform_superposition(len(marks)))
+    for _ in range(m):
+        state = grover_iterate(state, marks, coeff)
+    return state
+
+
+def simulated_success(marks: np.ndarray, m: int, coeff: float = 2.0) -> float:
+    """Marked mass (both halt-bit values) measured off an exact statevector run of m iterates."""
+    marks = np.asarray(marks, dtype=bool)
+    return float(np.sum(np.abs(amplified_state(marks, m, coeff)[marks]) ** 2))
 
 
 def check_total(total: float) -> None:

@@ -25,19 +25,17 @@ from functools import cache
 
 import numpy as np
 
-from .driver import (QidConfig, cumulative_calls, depth_rng, draw,
-                     quantum_iterative_deepening, report_within_call_budget,
-                     within_call_budget)
+from .driver import (QidConfig, amplified_probabilities, cumulative_calls, depth_rng, draw,
+                     literal_iterations, optimal_iterations, predicted_success_asymptotic,
+                     predicted_success_exact, quantum_iterative_deepening,
+                     report_within_call_budget, within_call_budget)
 from .errors import QidsError
-from .grover import (amplified_probabilities, amplified_state, bitmap, grover_iterate,
-                     literal_iterations, optimal_iterations,
-                     predicted_success_asymptotic, predicted_success_exact,
-                     simulated_success)
 from .production import (Alphabet, MarkedRuns, ProductionSystem, Rule, apply_rule,
                          classical_ids, deterministic_trace, execute_sequence,
                          marked_vector)
-from .statevector import (halt_timing_demo, measure, prepare_halt_minus,
-                          sample_index, uniform_superposition)
+from .statevector import (amplified_state, bitmap, grover_iterate, halt_timing_demo, measure,
+                          prepare_halt_minus, sample_index, simulated_success,
+                          uniform_superposition)
 from .turing import (DeltaEntry, TuringMachineSpec, compile_tm, decode_config,
                      initial_memory, tm_trace)
 
@@ -515,7 +513,7 @@ def check_draw_agreement() -> CheckResult:
     for c, (runs, depth, m) in enumerate(cases):
         probs = amplified_probabilities(bitmap(runs), runs.k, m)
         for seed in range(RUN_SEED_BASE, RUN_SEED_BASE + DRAW_SEEDS):
-            index, fast = draw(runs, m, seed, depth)
+            index, _, fast = draw(runs, m, seed, depth)
             expected = sample_index(probs, depth_rng(seed, depth)) // 2
             draws += 1
             fallbacks += not fast

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from qids.grover import bitmap
 from qids.limits import check_size
 from qids.production import Alphabet, MarkedRuns, ProductionSystem, Rule
+from qids.statevector import bitmap
 
 
 def tree_system(depth: int, goal_word: str = "aba") -> ProductionSystem:

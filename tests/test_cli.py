@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -609,3 +610,13 @@ def test_verify_measurement_statistics_runs_without_scipy():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert "PASS measurement-statistics" in run.stdout
+
+
+def test_readme_python_blocks_run(monkeypatch):
+    """Each ```python block of README.md runs, from the repository root."""
+    readme = DEMOS.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(readme.parent)
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})

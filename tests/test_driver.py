@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import make_system, runs_of
 from qids import driver
-from qids.driver import (QidConfig, cumulative_calls, depth_rng, draw, measure,
-                         quantum_iterative_deepening, report_to_json,
+from qids.driver import (QidConfig, amplified_probabilities, amplified_weights,
+                         cumulative_calls, depth_rng, draw, measure, optimal_iterations,
+                         predicted_success_exact, quantum_iterative_deepening, report_to_json,
                          report_within_call_budget, within_call_budget)
 from qids.errors import InputError, NormDrift, SizeLimit
-from qids.grover import (amplified_probabilities, amplified_weights, bitmap, optimal_iterations,
-                         predicted_success_exact)
 from qids.production import MAX_WALK_DEPTH, MarkedRuns, execute_sequence
-from qids.statevector import sample_index
+from qids.statevector import bitmap, sample_index
 
 
 def run(system, start, seed, **kwargs):
@@ -104,8 +103,9 @@ def registers(draw_from):
 @given(register=registers(), m=st.integers(0, 120), seed=st.integers(0, 2**32 - 1),
        depth=st.integers(0, 30))
 def test_draw_is_the_rng_choice_index(register, m, seed, depth):
-    index, _ = draw(register, m, seed, depth)
+    index, marked, _ = draw(register, m, seed, depth)
     assert index == reference_draw(register, m, depth_rng(seed, depth))
+    assert marked == bitmap(register)[index]
 
 
 class FixedDouble(np.random.Generator):
@@ -127,9 +127,27 @@ def test_draw_on_a_step_edge_falls_back_and_agrees(monkeypatch):
     mids = (edges + np.append(edges[1:], 1.0)) / 2
     for f in range(2 * runs.n):
         monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(edges[f]))
-        assert draw(runs, m, 0, 3) == (reference_draw(runs, m, FixedDouble(edges[f])), False)
+        index = reference_draw(runs, m, FixedDouble(edges[f]))
+        assert draw(runs, m, 0, 3) == (index, runs.locate(index)[1], False)
         monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(mids[f]))
-        assert draw(runs, m, 0, 3) == (f // 2, True)
+        assert draw(runs, m, 0, 3) == (f // 2, runs.locate(f // 2)[1], True)
+
+
+def test_one_locate_per_inverse_cdf_round(fig_tree, monkeypatch):
+    """The draw hands back the mark it found, so each round searches the runs once."""
+    located, fast = [], []
+    locate = MarkedRuns.locate
+    monkeypatch.setattr(MarkedRuns, "locate", lambda runs, i: located.append(i) or locate(runs, i))
+
+    def recorded_draw(*args):
+        index, marked, from_runs = draw(*args)
+        fast.append(from_runs)
+        return index, marked, from_runs
+
+    monkeypatch.setattr(driver, "draw", recorded_draw)
+    report = run(fig_tree, "E", seed=13, skip_empty_depths=False)
+    assert report.found and len(report.per_depth) == len(fast) == 4 and all(fast)
+    assert len(located) == len(fast)
 
 
 def test_perturbed_total_raises_norm_drift_before_the_draw(monkeypatch):

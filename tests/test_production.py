@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (assert_read_only, enumerate_paths, make_system, marks_of, parity_system,
                       random_system, runs_of, sequence_to_index, tree_system)
-from qids import production
+from qids import production, statevector
 from qids.errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
 from qids.production import (MAX_WALK_DEPTH, Alphabet, ProductionSystem, Rule, apply_rule,
                              classical_ids, deterministic_trace, execute_sequence,
@@ -247,7 +247,7 @@ def test_marked_vector_matches_predicate(fig_tree):
     for d in range(5):
         runs = marked_vector(fig_tree, "E", d)
         for i, seq in enumerate(enumerate_paths(2, d)):
-            assert runs.marked(i) == bool(halting_predicate(fig_tree, "E", seq))
+            assert runs.locate(i)[1] == bool(halting_predicate(fig_tree, "E", seq))
 
 
 # two or three letters and a memory of 3 or 4 symbols make overflow common
@@ -398,8 +398,7 @@ def test_rank_and_marked_match_cumsum_and_indexing(marks):
     runs = runs_of(marks)
     below = np.concatenate(([0], np.cumsum(marks)))
     assert marks_of(runs) == marks.tolist()
-    assert [runs.rank(i) for i in range(len(marks) + 1)] == below.tolist()
-    assert [runs.marked(i) for i in range(len(marks))] == marks.tolist()
+    assert [runs.locate(i)[0] for i in range(len(marks) + 1)] == below.tolist()
     assert [runs.locate(i) for i in range(len(marks))] == list(zip(below[:-1].tolist(),
                                                                    marks.tolist()))
     assert runs.k == below[-1]
@@ -411,6 +410,15 @@ def test_production_binds_no_numpy():
         origin = (value.__name__ if isinstance(value, types.ModuleType)
                   else getattr(value, "__module__", None))
         assert not (origin or "").startswith("numpy"), name
+
+
+def test_statevector_binds_nothing_from_driver():
+    """The reference does not depend on the engine it checks: no global of `statevector`
+    is or comes from `driver`."""
+    for name, value in vars(statevector).items():
+        origin = (value.__name__ if isinstance(value, types.ModuleType)
+                  else getattr(value, "__module__", None))
+        assert origin != "qids.driver", name
 
 
 def test_walks_leave_nothing_for_the_cyclic_gc():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_system
 from qids.errors import InputError, NormDrift, SizeLimit, ZeroProbability
-from qids.statevector import (halt_timing_demo, measure, prepare_halt_minus,
+from qids.statevector import (amplified_state, halt_timing_demo, measure, prepare_halt_minus,
                               project_halt, uniform_superposition)
 from qids.verify import halt_timing_system
 
@@ -96,7 +96,6 @@ def test_measure_is_seed_deterministic():
 
 
 def test_measure_amplified_state_frequency():
-    from qids.grover import amplified_state
     state = amplified_state(np.arange(16) == 5, 3)
     marked_prob = float(np.sum(np.abs(state[5]) ** 2))
     rng = np.random.default_rng(123)
