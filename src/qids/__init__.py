@@ -10,9 +10,8 @@ which hold the driver to the reference.
 
 from .driver import QidConfig, SearchReport, quantum_iterative_deepening
 from .errors import QidsError
-from .production import (Alphabet, ProductionSystem, Rule, apply_rule,
-                         classical_ids, execute_sequence, halting_predicate,
-                         load_system)
+from .production import (Alphabet, ProductionSystem, Rule, classical_ids,
+                         execute_sequence, halting_predicate, load_system)
 from .turing import TuringMachineSpec, compile_tm, load_tm
 
 __version__ = "0.1.0"
@@ -25,7 +24,6 @@ __all__ = [
     "Rule",
     "SearchReport",
     "TuringMachineSpec",
-    "apply_rule",
     "classical_ids",
     "compile_tm",
     "execute_sequence",

@@ -20,14 +20,14 @@ per flat entry of a marked sequence and one per unmarked entry
 closed form: one uniform double from the depth's generator, a binary search
 over the runs of marked sequences that `production.marked_vector` returns
 and one division, with no length-2N vector, no b**d bitmap and whatever the
-iterate count. The runs also give k, and the draw hands back whether the
+iterate count. The runs also give k, and `measure` hands back whether the
 measured sequence halts. It returns the index that `rng.choice` over the
 flat vector (`amplified_probabilities`) draws from that same double, so
-seeded reports match the dense engine's: the `engine-agreement` check ties
-that vector to `statevector.amplified_state`, the reference that runs the
-iterate itself. The vector, and the bitmap it is spread from, are built
+seeded reports match the dense engine's: `verify.check_engine_agreement`
+ties that vector to `statevector.amplified_state`, the reference that runs
+the iterate itself. The vector, and the bitmap it is spread from, are built
 only when the double falls within rounding distance of a step edge, to draw
-from it as before. The `draw-agreement` check holds the inverse draw to
+from it as before. `verify.check_draw_agreement` holds `measure` to
 `rng.choice`, so a numpy whose `choice` draws differently fails the gate
 instead of silently changing seeded reports.
 
@@ -292,39 +292,33 @@ def _inverse_cdf(runs: MarkedRuns, p_marked: float, p_unmarked: float, total: fl
     return None
 
 
-def draw(runs: MarkedRuns, m: int, seed: int, depth: int) -> tuple[int, bool, bool]:
-    """(index, marked, fast): the sequence measured after m iterates, its mark,
-    and whether the inverse CDF gave it.
+def measure(runs: MarkedRuns, m: int, seed: int, depth: int) -> tuple[int, bool, bool]:
+    """Measure the round at `depth`: (index, marked, fast), the sequence drawn
+    after m iterates, its mark, and whether the inverse CDF gave it.
 
-    The index is the one `sample_index(amplified_probabilities(bitmap(runs),
-    runs.k, m), depth_rng(seed, depth)) // 2` draws. The closed-form total
-    is checked for NormDrift before the depth's generator is touched; the
-    bitmap and the probability vector are built only when the drawn double
-    sits on a step edge. Either way the runs are searched for the index once.
+    The closed-form counterpart of `statevector.measure` on the amplified
+    state: the index is the one `sample_index(amplified_probabilities(
+    bitmap(runs), runs.k, m), depth_rng(seed, depth)) // 2` draws. The
+    closed-form total is checked for NormDrift before the depth's generator
+    is touched; the bitmap and the probability vector are built only when
+    the drawn double sits on a step edge. Either way the runs are searched
+    for the index once. Logs the round as one INFO line.
     """
     n_paths, k = runs.n, runs.k
     p_marked, p_unmarked = amplified_weights(n_paths, k, m)
     total = 2 * (k * p_marked + (n_paths - k) * p_unmarked)
     check_total(total)
     found = _inverse_cdf(runs, p_marked, p_unmarked, total, depth_rng(seed, depth).random())
-    if found is not None:
-        return *found, True
-    probs = amplified_probabilities(bitmap(runs), k, m)
-    index = sample_index(probs, depth_rng(seed, depth)) // 2
-    return index, runs.locate(index)[1], False
-
-
-def measure(runs: MarkedRuns, m: int, seed: int, depth: int) -> tuple[int, bool]:
-    """Measure the round at `depth`: (the sequence index drawn after m iterates, its mark).
-
-    The closed-form counterpart of `statevector.measure` on the amplified
-    state: the same Born draw with the depth's own generator, by the exact
-    inverse-CDF `draw`. Logs the round as one INFO line.
-    """
-    index, marked, fast = draw(runs, m, seed, depth)
-    log.info("depth=%d k=%d m=%d index=%d halting=%s draw=%s", depth, runs.k, m, index,
-             marked, "inverse-cdf" if fast else "vector")
-    return index, marked
+    fast = found is not None
+    if fast:
+        index, marked = found
+    else:
+        probs = amplified_probabilities(bitmap(runs), k, m)
+        index = sample_index(probs, depth_rng(seed, depth)) // 2
+        marked = runs.locate(index)[1]
+    log.info("depth=%d k=%d m=%d index=%d halting=%s draw=%s", depth, k, m, index, marked,
+             "inverse-cdf" if fast else "vector")
+    return index, marked, fast
 
 
 def quantum_iterative_deepening(system: ProductionSystem, start: str,
@@ -359,7 +353,7 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
             continue
         k_policy = k if config.counting_mode == "exact" else 1
         m = iterate_count(n_paths, max(k_policy, 1), config.iterate_policy)
-        p_index, halting = measure(runs, m, config.seed, depth)
+        p_index, halting, _ = measure(runs, m, config.seed, depth)
         seq = index_to_sequence(p_index, b, depth)
         total_calls += m
         predicted = predicted_success_exact(n_paths, k, m) if k else 0.0

@@ -168,26 +168,6 @@ def _goal_test(system: ProductionSystem) -> Callable[[str], bool]:
     return lambda memory: any(g in memory for g in goals)
 
 
-def apply_rule(system: ProductionSystem, memory: str, rule: Rule) -> str | None:
-    """Rewrite the leftmost occurrence of the rule's precondition, or return None.
-
-    None means the precondition does not occur in the memory. The checked
-    entry point: the rule and the memory must be over the alphabet,
-    and a result longer than `max_memory_len` raises MemoryOverflow.
-    """
-    system.alphabet.check_string(rule.precondition, "rule precondition")
-    system.alphabet.check_string(rule.action, "rule action")
-    system.alphabet.check_string(memory, "working memory")
-    if rule.precondition not in memory:
-        return None
-    result = memory.replace(rule.precondition, rule.action, 1)
-    if len(result) > system.max_memory_len:
-        raise MemoryOverflow(
-            f"rewrite to {len(result)} symbols exceeds capacity {system.max_memory_len}"
-        )
-    return result
-
-
 def _walk(system: ProductionSystem, start: str, seq: Sequence[int]) -> ExecutionResult:
     """Apply a sequence of rule indices, tracking the shallowest goal hit."""
     system.alphabet.check_string(start, "start state")

@@ -2,7 +2,8 @@
 
 The same checks back `qids verify` and the pytest acceptance module, so the
 command-line gate and the test suite cannot drift apart. Each check returns
-a CheckResult with a one-line detail string; run_checks prints one PASS/FAIL
+its verdict as (passed, one-line detail); `run_checks` names it by its
+ALL_CHECKS key, times it, builds its CheckResult and prints one PASS/FAIL
 line per check.
 
 The randomized search corpus is generated here from fixed seeds. Systems
@@ -25,14 +26,14 @@ from functools import cache
 
 import numpy as np
 
-from .driver import (QidConfig, amplified_probabilities, cumulative_calls, depth_rng, draw,
+from . import driver
+from .driver import (QidConfig, amplified_probabilities, cumulative_calls, depth_rng,
                      literal_iterations, optimal_iterations, predicted_success_asymptotic,
                      predicted_success_exact, quantum_iterative_deepening,
                      report_within_call_budget, within_call_budget)
 from .errors import QidsError
-from .production import (Alphabet, MarkedRuns, ProductionSystem, Rule, apply_rule,
-                         classical_ids, deterministic_trace, execute_sequence,
-                         marked_vector)
+from .production import (Alphabet, MarkedRuns, ProductionSystem, Rule, classical_ids,
+                         deterministic_trace, execute_sequence, marked_vector)
 from .statevector import (amplified_state, bitmap, grover_iterate, halt_timing_demo, measure,
                           prepare_halt_minus, sample_index, simulated_success,
                           uniform_superposition)
@@ -53,10 +54,6 @@ class CheckResult:
     passed: bool
     detail: str
     duration_s: float
-
-
-def _result(name: str, t0: float, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, passed, detail, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,17 +99,14 @@ def _random_soup(rng: np.random.Generator, b: int) -> tuple[ProductionSystem, st
     # breadth-first depth map over reachable strings
     depth_of = {start: 0}
     frontier = [start]
-    alphabet = Alphabet(letters)
-    scratch = ProductionSystem(alphabet, rules, (start,), (start,), max_memory_len=20)
     for depth in range(1, 7):
         nxt = []
         for mem in frontier:
             for rule in rules:
-                try:
-                    new = apply_rule(scratch, mem, rule)
-                except QidsError:
+                if rule.precondition not in mem:
                     continue
-                if new is not None and new not in depth_of:
+                new = mem.replace(rule.precondition, rule.action, 1)
+                if len(new) <= 20 and new not in depth_of:
                     depth_of[new] = depth
                     nxt.append(new)
         frontier = nxt
@@ -122,7 +116,7 @@ def _random_soup(rng: np.random.Generator, b: int) -> tuple[ProductionSystem, st
     if not candidates:
         return None
     goal = candidates[int(rng.integers(len(candidates)))]
-    return ProductionSystem(alphabet, rules, (start,), (goal,), max_memory_len=20), start
+    return ProductionSystem(Alphabet(letters), rules, (start,), (goal,), max_memory_len=20), start
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,7 @@ def _depth_clean(system: ProductionSystem, start: str, margin: int = 3,
 
 @cache
 def acceptance_corpus() -> list[CorpusEntry]:
-    """Deterministic randomized corpus for the search-vs-classical check."""
+    """Deterministic randomized corpus for `check_search_vs_classical`."""
     rng = np.random.default_rng(CORPUS_SEED)
     entries: list[CorpusEntry] = []
     attempts = 0
@@ -240,8 +234,8 @@ def tm_corpus() -> list[tuple[str, TuringMachineSpec, list[str]]]:
 # ---------------------------------------------------------------------------
 # checks
 
-def check_grover_correctness(coeff: float = 2.0) -> CheckResult:
-    """Simulated marked mass equals the closed form to 1e-9 across the sweep."""
+def check_grover_correctness(coeff: float = 2.0) -> tuple[bool, str]:
+    """Simulated marked mass equals the closed form to 1e-9 across the sweep, inside 10 s."""
     t0 = time.perf_counter()
     worst = 0.0
     for n in (4, 8, 16, 32, 64):
@@ -254,9 +248,8 @@ def check_grover_correctness(coeff: float = 2.0) -> CheckResult:
                 exact = predicted_success_exact(n, k, m)
                 worst = max(worst, abs(sim - exact))
     elapsed = time.perf_counter() - t0
-    passed = worst < 1e-9 and elapsed < 10.0
-    return _result("grover-correctness", t0, passed,
-                   f"max |simulated - closed form| = {worst:.3e}, {elapsed:.2f}s")
+    return (worst < 1e-9 and elapsed < 10.0,
+            f"max |simulated - closed form| = {worst:.3e}, {elapsed:.2f}s")
 
 
 def reconciliation_table() -> list[dict]:
@@ -272,9 +265,8 @@ def reconciliation_table() -> list[dict]:
     return rows
 
 
-def check_formula_reconciliation() -> CheckResult:
+def check_formula_reconciliation() -> tuple[bool, str]:
     """|asymptotic - exact| <= 0.05 for k=1 once b**d reaches 64."""
-    t0 = time.perf_counter()
     rows = reconciliation_table()
     big = [r for r in rows if r["n_paths"] >= 64]
     small = [r for r in rows if r["n_paths"] < 64]
@@ -283,12 +275,11 @@ def check_formula_reconciliation() -> CheckResult:
     detail = (f"gaps [{gaps}]; small-N rows "
               + "; ".join(f"N={r['n_paths']} asym={r['asymptotic']:.4f} exact={r['exact']:.4f}"
                           for r in small))
-    return _result("formula-reconciliation", t0, passed, detail)
+    return passed, detail
 
 
-def check_search_vs_classical(trials: int = ACCEPTANCE_TRIALS) -> CheckResult:
+def check_search_vs_classical(trials: int = ACCEPTANCE_TRIALS) -> tuple[bool, str]:
     """Amplified search agrees with classical iterative deepening on the corpus."""
-    t0 = time.perf_counter()
     problems = []
     for i, entry in enumerate(acceptance_corpus()):
         system, start = entry.system, entry.start
@@ -321,25 +312,23 @@ def check_search_vs_classical(trials: int = ACCEPTANCE_TRIALS) -> CheckResult:
     detail = f"{len(acceptance_corpus())} systems x {trials} seeds"
     if problems:
         detail += "; " + "; ".join(problems[:4])
-    return _result("search-vs-classical", t0, not problems, detail)
+    return not problems, detail
 
 
-def check_call_budget() -> CheckResult:
-    """Cumulative optimal-policy oracle calls stay within 4*sqrt(b**d)."""
+def check_call_budget() -> tuple[bool, str]:
+    """Cumulative optimal-policy oracle calls stay within 4*sqrt(b**d), tabulated inside 60 s."""
     t0 = time.perf_counter()
     rows = [(b, d, total, root) for b, d_max in ((2, 14), (3, 9))
             for d, (total, root) in enumerate(cumulative_calls(b, d_max))]
     worst_ratio = max(total / root for _, _, total, root in rows)
     ok = all(within_call_budget(total, b, d) for b, d, total, _ in rows)
     elapsed = time.perf_counter() - t0
-    passed = ok and elapsed < 60.0
-    return _result("cumulative-call-budget", t0, passed,
-                   f"worst total/sqrt(b**d) = {worst_ratio:.3f} (bound 4), {elapsed:.2f}s")
+    return (ok and elapsed < 60.0,
+            f"worst total/sqrt(b**d) = {worst_ratio:.3f} (bound 4), {elapsed:.2f}s")
 
 
-def check_tm_bisimulation() -> CheckResult:
+def check_tm_bisimulation() -> tuple[bool, str]:
     """Compiled systems replay machine traces step for step."""
-    t0 = time.perf_counter()
     problems = []
     pairs = 0
     for name, tm, tapes in tm_corpus():
@@ -364,12 +353,11 @@ def check_tm_bisimulation() -> CheckResult:
     detail = f"{pairs} machine/tape pairs"
     if problems:
         detail += "; " + "; ".join(problems[:4])
-    return _result("tm-bisimulation", t0, not problems, detail)
+    return not problems, detail
 
 
-def check_halt_timing_demo() -> CheckResult:
+def check_halt_timing_demo() -> tuple[bool, str]:
     """The straddling-halt-times demo splits cleanly on the halt bit."""
-    t0 = time.perf_counter()
     report = halt_timing_demo(halt_timing_system(), d=3, step_cap=8)
     problems = []
     if report.steps_to_halt != [1, 2, 5, 5]:
@@ -393,7 +381,7 @@ def check_halt_timing_demo() -> CheckResult:
     detail = f"P(halt)={report.p_halt}, times={report.steps_to_halt}"
     if problems:
         detail += "; " + "; ".join(problems)
-    return _result("halt-timing-demo", t0, not problems, detail)
+    return not problems, detail
 
 
 def _chi_square_pvalue(counts: np.ndarray, probs: np.ndarray, draws: int) -> float:
@@ -418,9 +406,8 @@ def _chi_square_pvalue(counts: np.ndarray, probs: np.ndarray, draws: int) -> flo
     return tail
 
 
-def check_measurement_statistics(draws: int = 10_000, coeff: float = 2.0) -> CheckResult:
+def check_measurement_statistics(draws: int = 10_000, coeff: float = 2.0) -> tuple[bool, str]:
     """Seeded measurement frequencies fit the Born rule at significance 0.001."""
-    t0 = time.perf_counter()
     cases = []
     cases.append(("uniform-with-minus-halt", prepare_halt_minus(uniform_superposition(16))))
     rng_state = np.random.default_rng(7)
@@ -445,12 +432,11 @@ def check_measurement_statistics(draws: int = 10_000, coeff: float = 2.0) -> Che
     detail = f"{len(cases)} states x {draws} draws"
     if problems:
         detail += "; " + "; ".join(problems)
-    return _result("measurement-statistics", t0, not problems, detail)
+    return not problems, detail
 
 
-def check_unitarity(iterations: int = 1000, coeff: float = 2.0) -> CheckResult:
+def check_unitarity(iterations: int = 1000, coeff: float = 2.0) -> tuple[bool, str]:
     """Norm drift below 1e-9 after 1000 iterates at dimension 2048."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(99)
     marks = rng.random(1024) < 0.125
     marks[0] = True  # at least one mark so the iterate is non-trivial
@@ -458,8 +444,7 @@ def check_unitarity(iterations: int = 1000, coeff: float = 2.0) -> CheckResult:
     for _ in range(iterations):
         state = grover_iterate(state, marks, coeff)
     drift = abs(np.linalg.norm(state) - 1.0)
-    return _result("unitarity-drift", t0, drift < 1e-9,
-                   f"|norm - 1| = {drift:.3e} after {iterations} iterates at dim 2048")
+    return drift < 1e-9, f"|norm - 1| = {drift:.3e} after {iterations} iterates at dim 2048"
 
 
 def _closed_form_registers() -> list[tuple[MarkedRuns, int, int]]:
@@ -474,13 +459,12 @@ def _closed_form_registers() -> list[tuple[MarkedRuns, int, int]]:
     return cases
 
 
-def check_engine_agreement(coeff: float = 2.0) -> CheckResult:
+def check_engine_agreement(coeff: float = 2.0) -> tuple[bool, str]:
     """Closed-form probabilities equal the dense engine's within 1e-12.
 
     Covers the corpus at depths d* through d*+3 under the optimal and the
     faithful iterate counts, plus one single-mark register at b=4, d=8.
     """
-    t0 = time.perf_counter()
     cases = _closed_form_registers()
     worst = 0.0
     for runs, _, m in cases:
@@ -488,22 +472,20 @@ def check_engine_agreement(coeff: float = 2.0) -> CheckResult:
         dense = np.abs(amplified_state(marks, m, coeff).ravel()) ** 2
         closed = amplified_probabilities(marks, runs.k, m)
         worst = max(worst, float(np.max(np.abs(dense - closed))))
-    return _result("engine-agreement", t0, worst <= 1e-12,
-                   f"max |dense - closed form| = {worst:.3e} over {len(cases)} "
-                   f"registers (tolerance 1e-12)")
+    return worst <= 1e-12, (f"max |dense - closed form| = {worst:.3e} over {len(cases)} "
+                            f"registers (tolerance 1e-12)")
 
 
-def check_draw_agreement() -> CheckResult:
+def check_draw_agreement() -> tuple[bool, str]:
     """The search's inverse-CDF draw measures what `rng.choice` over the vector does.
 
-    On the `engine-agreement` registers, and on registers of 4096 sequences
-    with none and with all of them marked, each over DRAW_SEEDS seeds, the
-    seeded `driver.draw` must
-    equal `sample_index` over `amplified_probabilities` with the same
-    depth generator. The draw relies on how numpy's `choice` turns one
-    double into an index; a numpy that changes it fails here.
+    On `check_engine_agreement`'s registers, and on registers of 4096
+    sequences with none and with all of them marked, each over DRAW_SEEDS
+    seeds, the seeded `driver.measure` must equal `sample_index` over
+    `amplified_probabilities` with the same depth generator. The draw relies
+    on how numpy's `choice` turns one double into an index; a numpy that
+    changes it fails here.
     """
-    t0 = time.perf_counter()
     cases = _closed_form_registers()
     n = 4096
     for runs in (MarkedRuns(n), MarkedRuns(n, [(0, n)])):
@@ -513,7 +495,7 @@ def check_draw_agreement() -> CheckResult:
     for c, (runs, depth, m) in enumerate(cases):
         probs = amplified_probabilities(bitmap(runs), runs.k, m)
         for seed in range(RUN_SEED_BASE, RUN_SEED_BASE + DRAW_SEEDS):
-            index, _, fast = draw(runs, m, seed, depth)
+            index, _, fast = driver.measure(runs, m, seed, depth)
             expected = sample_index(probs, depth_rng(seed, depth)) // 2
             draws += 1
             fallbacks += not fast
@@ -524,7 +506,7 @@ def check_draw_agreement() -> CheckResult:
               f"{fallbacks} took the vector fallback")
     if problems:
         detail += "; " + "; ".join(problems[:4])
-    return _result("draw-agreement", t0, not problems, detail)
+    return not problems, detail
 
 
 ALL_CHECKS = {
@@ -550,8 +532,9 @@ def run_checks(names: list[str] | None = None, inject_fault: str | None = None,
                stream=None) -> list[CheckResult]:
     """Run the named checks (all by default), printing one line per check.
 
-    A check that raises a QidsError fails with the error as its detail, and
-    the run goes on to the next check.
+    Each check is timed here and named by its ALL_CHECKS key; the DENSE_CHECKS
+    get the diffusion coefficient. A check that raises a QidsError fails
+    with the error as its detail, and the run goes on to the next check.
     """
     out = stream if stream is not None else sys.stdout
     selected = names or list(ALL_CHECKS)
@@ -563,15 +546,15 @@ def run_checks(names: list[str] | None = None, inject_fault: str | None = None,
     coeff = 2.0 + 1e-3 if inject_fault == "diffusion" else 2.0
     results = []
     for name in selected:
-        t0 = time.perf_counter()
         kwargs = {"coeff": coeff} if name in DENSE_CHECKS else {}
+        t0 = time.perf_counter()
         try:
-            result = ALL_CHECKS[name](**kwargs)
+            passed, detail = ALL_CHECKS[name](**kwargs)
         except QidsError as exc:
-            result = _result(name, t0, False, f"raised {type(exc).__name__}: {exc}")
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        result = CheckResult(name, passed, detail, time.perf_counter() - t0)
         results.append(result)
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name} [{result.duration_s:.2f}s] {result.detail}",
+        print(f"{'PASS' if passed else 'FAIL'} {name} [{result.duration_s:.2f}s] {detail}",
               file=out)
     total = sum(r.duration_s for r in results)
     print(f"{'PASS' if all(r.passed for r in results) else 'FAIL'} "

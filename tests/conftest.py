@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from qids.driver import amplified_probabilities, depth_rng, iterate_count
 from qids.limits import check_size
-from qids.production import Alphabet, MarkedRuns, ProductionSystem, Rule
-from qids.statevector import bitmap
+from qids.production import Alphabet, MarkedRuns, ProductionSystem, Rule, halting_predicate
+from qids.statevector import bitmap, sample_index
 
 
 def tree_system(depth: int, goal_word: str = "aba") -> ProductionSystem:
@@ -120,6 +121,32 @@ def enumerate_paths(b, d):
     lexicographic order, which is the order of `marked_vector`'s entries."""
     check_size(b**d, f"path space b={b} d={d}")
     return list(itertools.product(range(b), repeat=d))
+
+
+def reference_search(system, start, config):
+    """The search built from reference parts only: per depth, the bitmap of
+    `halting_predicate` over `enumerate_paths`, `iterate_count` under the
+    config, and `rng.choice` over the closed-form vector. Returns (found,
+    witness, total oracle calls, per-depth (k, m, skipped, measured index,
+    measured halting)), in the driver's report terms."""
+    b = system.branching_factor
+    total, rows = 0, []
+    for depth in range(config.depth_cap + 1):
+        paths = enumerate_paths(b, depth)
+        marks = np.array([halting_predicate(system, start, seq) for seq in paths], dtype=bool)
+        k = int(marks.sum())
+        if k == 0 and config.skip_empty_depths:
+            rows.append((0, 0, True, None, None))
+            continue
+        k_policy = k if config.counting_mode == "exact" else 1
+        m = iterate_count(len(paths), max(k_policy, 1), config.iterate_policy)
+        probs = amplified_probabilities(marks, k, m)
+        index = sample_index(probs, depth_rng(config.seed, depth)) // 2
+        total += m
+        rows.append((k, m, False, index, bool(marks[index])))
+        if marks[index]:
+            return True, paths[index], total, rows
+    return False, None, total, rows
 
 
 def sequence_to_index(seq, b):

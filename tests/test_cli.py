@@ -385,20 +385,6 @@ def test_verify_subset_passes(capsys):
     assert out.count("PASS") == 3  # two checks + summary
 
 
-def test_verify_detects_injected_fault(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--only", "grover-correctness",
-                           "--inject-fault", "diffusion")
-    assert code == 1
-    assert "FAIL grover-correctness" in out
-
-
-def test_verify_engine_agreement_detects_injected_fault(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--only", "engine-agreement",
-                           "--inject-fault", "diffusion")
-    assert code == 1
-    assert "FAIL engine-agreement" in out
-
-
 def test_verify_injected_fault_fails_every_dense_check_and_runs_them_all(capsys):
     code, out, _ = run_cli(capsys, "verify", "--inject-fault", "diffusion")
     assert code == 1
@@ -464,8 +450,8 @@ def test_measurement_statistics_fails_a_sampler_off_the_born_rule(monkeypatch):
         return measure(state * weights / np.linalg.norm(state * weights), rng)
 
     monkeypatch.setattr("qids.verify.measure", tilted)
-    result = check_measurement_statistics(draws=2_000)
-    assert not result.passed and "chi-square p =" in result.detail
+    passed, detail = check_measurement_statistics(draws=2_000)
+    assert not passed and "chi-square p =" in detail
 
 
 # --- fuzz ---------------------------------------------------------------------------

@@ -5,17 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_system, runs_of
+from conftest import make_system, random_system, reference_search, runs_of
 from qids import driver
 from qids.driver import (QidConfig, amplified_probabilities, amplified_weights,
-                         cumulative_calls, depth_rng, draw, measure, optimal_iterations,
+                         cumulative_calls, depth_rng, measure, optimal_iterations,
                          predicted_success_exact, quantum_iterative_deepening, report_to_json,
                          report_within_call_budget, within_call_budget)
 from qids.errors import InputError, NormDrift, SizeLimit
-from qids.production import MAX_WALK_DEPTH, MarkedRuns, execute_sequence
+from qids.production import MAX_WALK_DEPTH, MarkedRuns, execute_sequence, marked_vector
 from qids.statevector import bitmap, sample_index
 
 
@@ -103,7 +103,7 @@ def registers(draw_from):
 @given(register=registers(), m=st.integers(0, 120), seed=st.integers(0, 2**32 - 1),
        depth=st.integers(0, 30))
 def test_draw_is_the_rng_choice_index(register, m, seed, depth):
-    index, marked, _ = draw(register, m, seed, depth)
+    index, marked, _ = measure(register, m, seed, depth)
     assert index == reference_draw(register, m, depth_rng(seed, depth))
     assert marked == bitmap(register)[index]
 
@@ -128,9 +128,9 @@ def test_draw_on_a_step_edge_falls_back_and_agrees(monkeypatch):
     for f in range(2 * runs.n):
         monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(edges[f]))
         index = reference_draw(runs, m, FixedDouble(edges[f]))
-        assert draw(runs, m, 0, 3) == (index, runs.locate(index)[1], False)
+        assert measure(runs, m, 0, 3) == (index, runs.locate(index)[1], False)
         monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(mids[f]))
-        assert draw(runs, m, 0, 3) == (f // 2, runs.locate(f // 2)[1], True)
+        assert measure(runs, m, 0, 3) == (f // 2, runs.locate(f // 2)[1], True)
 
 
 def test_one_locate_per_inverse_cdf_round(fig_tree, monkeypatch):
@@ -139,12 +139,12 @@ def test_one_locate_per_inverse_cdf_round(fig_tree, monkeypatch):
     locate = MarkedRuns.locate
     monkeypatch.setattr(MarkedRuns, "locate", lambda runs, i: located.append(i) or locate(runs, i))
 
-    def recorded_draw(*args):
-        index, marked, from_runs = draw(*args)
+    def recorded_measure(*args):
+        index, marked, from_runs = measure(*args)
         fast.append(from_runs)
         return index, marked, from_runs
 
-    monkeypatch.setattr(driver, "draw", recorded_draw)
+    monkeypatch.setattr(driver, "measure", recorded_measure)
     report = run(fig_tree, "E", seed=13, skip_empty_depths=False)
     assert report.found and len(report.per_depth) == len(fast) == 4 and all(fast)
     assert len(located) == len(fast)
@@ -161,6 +161,30 @@ def test_perturbed_total_raises_norm_drift_before_the_draw(monkeypatch):
     monkeypatch.setattr(driver, "depth_rng", no_generator)
     with pytest.raises(NormDrift):
         measure(MarkedRuns(64, [(3, 1)]), 6, 0, 6)
+
+
+@settings(max_examples=300, deadline=None)
+# k = 2 at depth 1, where assume_one sizes m for one mark and exact for two
+@example(system_seed=646, b=3, n_letters=3, goal_match="exact", max_len=4, seed=71, depth_cap=6,
+         counting_mode="assume_one", iterate_policy="optimal", skip=True)
+@given(system_seed=st.integers(0, 2**32 - 1), b=st.integers(2, 3), n_letters=st.integers(2, 3),
+       goal_match=st.sampled_from(("exact", "substring")), max_len=st.sampled_from((4, 20)),
+       seed=st.integers(0, 2**64), depth_cap=st.integers(0, 6),
+       counting_mode=st.sampled_from(driver.COUNTING_MODES),
+       iterate_policy=st.sampled_from(driver.ITERATE_POLICIES), skip=st.booleans())
+def test_search_matches_the_reference_search(system_seed, b, n_letters, goal_match, max_len,
+                                             seed, depth_cap, counting_mode, iterate_policy,
+                                             skip):
+    """A seeded search reports what the search built from reference parts finds."""
+    system, start = random_system(np.random.default_rng(system_seed), b=b, n_letters=n_letters,
+                                  max_len=max_len, goal_match=goal_match)
+    config = QidConfig(seed=seed, depth_cap=depth_cap, counting_mode=counting_mode,
+                       iterate_policy=iterate_policy, skip_empty_depths=skip)
+    expected = reference_search(system, start, config)
+    marked_vector.cache_clear()
+    report = quantum_iterative_deepening(system, start, config)
+    rows = [(r.k, r.m, r.skipped, r.measured_index, r.measured_halting) for r in report.per_depth]
+    assert (report.found, report.witness, report.total_oracle_calls, rows) == expected
 
 
 def test_skipping_empty_depths_does_not_change_outcome(fig_tree):
@@ -263,7 +287,6 @@ def test_schedule_b3_ratio():
 def test_search_on_nondeterministic_compiled_machine():
     # a guessing machine: on a blank it may halt writing 0 or keep marching;
     # the compiled system branches, and the searcher finds a halting path
-    from qids.production import apply_rule
     from qids.turing import DeltaEntry, TuringMachineSpec, compile_tm, decode_config, initial_memory
     tm = TuringMachineSpec(
         states=("g", "h"), start="g", halts=frozenset(["h"]), blank="_",
@@ -279,7 +302,7 @@ def test_search_on_nondeterministic_compiled_machine():
     assert len(tm.actions("g", "_")) == 2
     system = compile_tm(tm)
     start = initial_memory(tm, "")
-    applicable = [r for r in system.rules if apply_rule(system, start, r) is not None]
+    applicable = [r for r in system.rules if r.precondition in start]
     assert len(applicable) == 2  # genuine branching at the start configuration
     report = quantum_iterative_deepening(system, start, QidConfig(seed=3, depth_cap=3))
     assert report.found

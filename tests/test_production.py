@@ -16,7 +16,7 @@ from conftest import (assert_read_only, enumerate_paths, make_system, marks_of, 
                       random_system, runs_of, sequence_to_index, tree_system)
 from qids import production, statevector
 from qids.errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
-from qids.production import (MAX_WALK_DEPTH, Alphabet, ProductionSystem, Rule, apply_rule,
+from qids.production import (MAX_WALK_DEPTH, Alphabet, ProductionSystem, Rule,
                              classical_ids, deterministic_trace, execute_sequence,
                              halting_predicate, index_to_sequence, load_system,
                              marked_vector, save_system, system_from_dict,
@@ -103,37 +103,22 @@ def test_system_validation():
         make_system([("A", "B")], goal_match="fuzzy")
 
 
-# --- apply_rule --------------------------------------------------------------
-
-def test_apply_rule_substring_rewrite():
-    system = make_system([("AB", "C")])
-    assert apply_rule(system, "xABy", system.rules[0]) == "xCy"
-
-
-def test_apply_rule_leftmost_tiebreak():
-    system = make_system([("A", "B")])
-    assert apply_rule(system, "AA", system.rules[0]) == "BA"
-
-
-def test_apply_rule_no_match():
-    system = make_system([("AB", "C")])
-    assert apply_rule(system, "xy", system.rules[0]) is None
-
-
-def test_apply_rule_overflow():
-    system = make_system([("A", "AA")], max_len=3)
-    assert apply_rule(system, "AA", system.rules[0]) == "AAA"
-    with pytest.raises(MemoryOverflow):
-        apply_rule(system, "AAA", system.rules[0])
-
-
-def test_apply_rule_is_deterministic():
-    system = make_system([("A", "B")])
-    results = {apply_rule(system, "xAy", system.rules[0]) for _ in range(25)}
-    assert results == {"xBy"}
-
-
 # --- execute_sequence / halting_predicate ------------------------------------
+
+def test_execute_substring_rewrite():
+    system = make_system([("AB", "C")])
+    assert execute_sequence(system, "xABy", (0,)).trace == ["xABy", "xCy"]
+
+
+def test_execute_leftmost_tiebreak():
+    system = make_system([("A", "B")])
+    assert execute_sequence(system, "AA", (0,)).trace == ["AA", "BA"]
+
+
+def test_execute_is_deterministic():
+    system = make_system([("A", "B")])
+    results = {tuple(execute_sequence(system, "xAy", (0,)).trace) for _ in range(25)}
+    assert results == {("xAy", "xBy")}
 
 def test_execute_known_tree_path(fig_tree):
     result = execute_sequence(fig_tree, "E", (0, 1, 0))

@@ -157,13 +157,12 @@ def test_compile_is_deterministic_and_injective():
 def test_compiled_system_is_deterministic_per_config(unary_inc):
     system = compile_tm(unary_inc, input_tapes=("111",))
     memory = initial_memory(unary_inc, "111")
-    from qids.production import apply_rule
     for _ in range(8):
-        applicable = [r for r in system.rules if apply_rule(system, memory, r) is not None]
+        applicable = [r for r in system.rules if r.precondition in memory]
         if not applicable:
             break
         assert len(applicable) == 1
-        memory = apply_rule(system, memory, applicable[0])
+        memory = memory.replace(applicable[0].precondition, applicable[0].action, 1)
 
 
 def test_encoding_clash_on_overlapping_tokens():
