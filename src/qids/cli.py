@@ -17,16 +17,14 @@ import functools
 import json
 import logging
 import sys
-import time
 
 import numpy as np
 
-from .driver import (QidConfig, cumulative_calls, optimal_iterations,
-                     predicted_success_asymptotic, predicted_success_exact,
-                     quantum_iterative_deepening, report_to_json, within_call_budget)
+from .driver import (COUNTING_MODES, ITERATE_POLICIES, QidConfig, call_budget_rows,
+                     quantum_iterative_deepening, report_to_json, success_row, timestamp)
 from .errors import InputError, QidsError
 from .jsonfields import save_json_file
-from .limits import check_float_range, sim_cap
+from .limits import check_float_range, register_fits
 from .production import classical_ids, load_system, save_system
 from .statevector import halt_timing_demo, measure, simulated_success
 from .turing import compile_tm, load_tm
@@ -36,13 +34,15 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CAP = 2
 
+_COUNTING_FLAGS = tuple(mode.replace("_", "-") for mode in COUNTING_MODES)
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; 2 means "depth cap exceeded" here,
     # so route usage problems to the generic error code instead.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit((EXIT_ERROR, f"error: {message}"))
+        self.exit(EXIT_ERROR, f"error: {message}\n")
 
 
 @functools.cache
@@ -56,8 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--start", help="start string (default: the file's first initial state)")
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--depth-cap", type=int, default=None)
-    run.add_argument("--counting-mode", choices=("exact", "assume-one"), default="exact")
-    run.add_argument("--iterate-policy", choices=("optimal", "faithful"), default="optimal")
+    run.add_argument("--counting-mode", choices=_COUNTING_FLAGS,
+                     default=QidConfig.counting_mode.replace("_", "-"))
+    run.add_argument("--iterate-policy", choices=ITERATE_POLICIES,
+                     default=QidConfig.iterate_policy)
     run.add_argument("--run-empty-depths", action="store_true",
                      help="run the iterate-and-measure round even when no sequence halts")
     run.add_argument("--classical", action="store_true",
@@ -94,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--branching", default="2,3",
                        help="comma-separated branching factors (default 2,3)")
     bench.add_argument("--depth-max", type=int, default=14)
-    bench.add_argument("--iterate-policy", choices=("optimal", "faithful"), default="optimal")
+    bench.add_argument("--iterate-policy", choices=ITERATE_POLICIES,
+                       default=QidConfig.iterate_policy)
     bench.add_argument("--seed", type=int, required=True,
                        help="recorded in the output for provenance; the table itself is exact")
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -164,8 +167,6 @@ def _cmd_demo_flaw(args) -> int:
     report = halt_timing_demo(system, args.depth, step_cap=args.step_cap)
     rng = np.random.default_rng(args.seed)
     sampled_input, sampled_halt = measure(report.pre_measurement, rng)
-    support = {k: (None if proj is None else np.flatnonzero(proj[:, k]).tolist())
-               for k, proj in ((0, report.projected_continue), (1, report.projected_halt))}
 
     print(f"evolved {len(report.inputs)} inputs for {report.depth} steps")
     for memory, steps, halted, final in report.branch_table:
@@ -176,7 +177,7 @@ def _cmd_demo_flaw(args) -> int:
     print(f"P(halt bit = 1) = {report.p_halt!r}")
     print(f"seeded sample of the full register: input {sampled_input} "
           f"with halt bit {sampled_halt}")
-    for k, kept in support.items():
+    for k, kept in report.projection_support.items():
         if kept is None:
             print(f"projection onto halt={k}: zero probability, undefined")
             continue
@@ -193,10 +194,10 @@ def _cmd_demo_flaw(args) -> int:
         "p_halt": report.p_halt,
         "sampled_input": sampled_input,
         "sampled_halt_bit": sampled_halt,
-        "projection_support": {str(k): kept for k, kept in support.items()},
+        "projection_support": {str(k): kept for k, kept in report.projection_support.items()},
     }
     if not args.no_timestamp:
-        payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+        payload["timestamp"] = timestamp()
     if args.output:
         save_json_file(payload, args.output)
     return EXIT_OK
@@ -208,16 +209,9 @@ def _cmd_predict(args) -> int:
     if b < 1 or d < 0 or k < 0 or k > b**d:
         raise InputError(f"need b >= 1, d >= 0, 0 <= k <= b**d; got b={b} d={d} k={k}")
     n = b**d
-    if k == 0:
-        m, asym_col, exact_col = 0, "n/a", 0.0
-    else:
-        m = optimal_iterations(n, k)
-        asym_col = f"{predicted_success_asymptotic(b, d, k):.6f}"
-        exact_col = predicted_success_exact(n, k, m)
-    if 2 * n <= sim_cap():
-        sim_col = f"{simulated_success(np.arange(n) < k, m):.6f}"
-    else:
-        sim_col = "over-cap"
+    m, asym, exact_col = success_row(b, d, k)
+    asym_col = "n/a" if asym is None else f"{asym:.6f}"
+    sim_col = f"{simulated_success(np.arange(n) < k, m):.6f}" if register_fits(b, d) else "over-cap"
     if args.format == "json":
         print(json.dumps({"n_paths": n, "k": k, "m": m, "asymptotic": asym_col,
                           "exact": f"{exact_col:.6f}", "simulated": sim_col}))
@@ -236,11 +230,7 @@ def _cmd_bench(args) -> int:
     for b in branching:
         if b < 2:
             raise InputError("bench needs branching factors >= 2")
-        for d, (total, root) in enumerate(cumulative_calls(b, args.depth_max,
-                                                           args.iterate_policy)):
-            rows.append({"b": b, "d": d, "total_calls": total, "sqrt_bd": root,
-                         "ratio": total / root,
-                         "within_bound": within_call_budget(total, b, d)})
+        rows += call_budget_rows(b, args.depth_max, args.iterate_policy)
     if args.format == "json":
         print(json.dumps({"policy": args.iterate_policy, "seed": args.seed, "rows": rows},
                          indent=2))
@@ -262,10 +252,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        if isinstance(exc.code, tuple):
-            code, message = exc.code
-            print(message, file=sys.stderr)
-            return code
         return EXIT_ERROR if exc.code else EXIT_OK
     handlers = {
         "run": _cmd_run,
@@ -277,10 +263,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except QidsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (QidsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

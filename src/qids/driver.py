@@ -58,9 +58,10 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InputError, KZero, SizeLimit
-from .limits import check_float_range, check_size, sim_cap
+from .limits import check_float_range, check_size, register_fits, sim_cap
 from .production import (ClassicalSearchResult, MarkedRuns, ProductionSystem, RuleSequence,
-                         check_walk_depth, execute_sequence, index_to_sequence, marked_vector)
+                         check_start, check_walk_depth, execute_sequence, index_to_sequence,
+                         marked_vector)
 from .statevector import bitmap, check_total, sample_index
 
 log = logging.getLogger(__name__)
@@ -143,9 +144,8 @@ def default_depth_cap(b: int) -> int:
     """Largest depth whose statevector (2 * b**d amplitudes) fits the cap."""
     if b < 2:
         raise InputError("a single-rule system has no natural depth cap; set one explicitly")
-    cap = sim_cap()
     d = 0
-    while 2 * b ** (d + 1) <= cap:
+    while register_fits(b, d + 1):
         d += 1
     return d
 
@@ -194,6 +194,15 @@ def predicted_success_asymptotic(b: int, d: int, k: int) -> float:
         raise InputError(f"need 1 <= k <= b**d, got k={k} N={n_paths}")
     theta = 2 * math.acos(math.sqrt((n_paths - k) / n_paths))
     return math.sin(theta / 2 * (math.pi / 2 * math.sqrt(n_paths / k) + 1)) ** 2
+
+
+def success_row(b: int, d: int, k: int) -> tuple[int, float | None, float]:
+    """(m, asymptotic, exact): the optimal iterate count with k of b**d sequences
+    marked and both success forms at it; k = 0 has neither, so (0, None, 0.0)."""
+    if k == 0:
+        return 0, None, 0.0
+    m = optimal_iterations(b**d, k)
+    return m, predicted_success_asymptotic(b, d, k), predicted_success_exact(b**d, k, m)
 
 
 def amplified_weights(n_paths: int, k: int, m: int) -> tuple[float, float]:
@@ -329,15 +338,12 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
     its shortest halting prefix, and goal_state is the memory string that
     prefix reaches on classical replay.
     """
-    if start not in system.initial_states:
-        raise InputError(f"start {start!r} is not one of the system's initial states")
+    check_start(system, start)
     b = system.branching_factor
     depth_cap = config.depth_cap if config.depth_cap is not None else default_depth_cap(b)
-    cap = sim_cap()
-    # b**cap.bit_length() > cap for b >= 2: the clamp spares building b**depth_cap
-    if 2 * b ** min(depth_cap, cap.bit_length()) > cap:
+    if not register_fits(b, depth_cap):
         raise SizeLimit(f"depth cap {depth_cap} needs 2 * {b}**{depth_cap} amplitudes, "
-                        f"over the cap of {cap}")
+                        f"over the cap of {sim_cap()}")
     check_walk_depth(depth_cap)
 
     t0 = time.perf_counter()
@@ -361,7 +367,7 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
                                      p_index, seq, halting))
         if halting:
             replay = execute_sequence(system, start, seq)
-            d_star = replay.halt_depth
+            d_star = replay.goal_step
             goal_state = replay.trace[d_star]
             return SearchReport(True, d_star, seq, goal_state, depth, per_depth,
                                 total_calls, config.seed, config,
@@ -384,6 +390,14 @@ def within_call_budget(total_calls: int, b: int, d: int) -> bool:
     return total_calls <= 4 * math.sqrt(b**d)
 
 
+def call_budget_rows(b: int, d_max: int, policy: str) -> list[dict]:
+    """The `cumulative_calls` of branching factor b as table rows: per depth, the
+    total, sqrt(b**d), their ratio and whether the total keeps the budget."""
+    return [{"b": b, "d": d, "total_calls": total, "sqrt_bd": root, "ratio": total / root,
+             "within_bound": within_call_budget(total, b, d)}
+            for d, (total, root) in enumerate(cumulative_calls(b, d_max, policy))]
+
+
 def report_within_call_budget(report: SearchReport, b: int) -> bool:
     """Whether a report's oracle calls keep the budget at its final depth."""
     if not report.per_depth:
@@ -394,12 +408,17 @@ def report_within_call_budget(report: SearchReport, b: int) -> bool:
     return within_call_budget(total, b, report.per_depth[-1].depth)
 
 
+def timestamp() -> str:
+    """The local time in the format of every report's `timestamp` field."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S%z")
+
+
 def report_to_json(report: SearchReport | ClassicalSearchResult,
                    include_volatile: bool = True) -> str:
     """The report's schema, outcome and own fields, nested records too, as indented JSON."""
     data = {"schema": report.SCHEMA, "outcome": report.outcome, **vars(report)}
     if include_volatile:
-        data["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+        data["timestamp"] = timestamp()
     else:
         data.pop("wall_time_s", None)
     return json.dumps(data, indent=2, default=vars) + "\n"

@@ -69,6 +69,8 @@ def load_json_file(path, from_dict: Callable[[dict], object]):
                              f"{exc.msg}") from None
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+        except ValueError as exc:  # such as an integer past Python's digit limit
+            raise InputError(f"{path}: unreadable JSON: {exc}") from None
         except RecursionError:
             raise InputError(f"{path}: JSON nested too deeply to read") from None
     try:

@@ -44,6 +44,13 @@ def check_size(count: int, what: str) -> None:
         raise SizeLimit(f"{what} needs {count} entries, over the cap of {cap}")
 
 
+def register_fits(b: int, d: int) -> bool:
+    """Whether a register of 2 * b**d amplitudes (a halt bit per sequence) fits the cap."""
+    cap = sim_cap()
+    # b**cap.bit_length() > cap for b >= 2: the clamp spares building a huge b**d
+    return 2 * b ** min(d, cap.bit_length()) <= cap
+
+
 def check_float_range(b: int, d: int) -> None:
     """Raise InputError if b**d, for b >= 1, is beyond floating-point range."""
     # 2**1024 exceeds the largest float, so the clamped power settles any d

@@ -11,9 +11,10 @@ under extension, which is what the amplified search in `driver` relies on.
 System definition files are JSON objects with fields `alphabet` (list of
 single-character strings), `rules` (ordered list of {"pre": str, "post":
 str}), `initial` (list of strings), `goals` (list of strings) and
-`max_memory_len` (int, default 64). The optional field `goal_match`
-("exact" | "substring", default "exact") says whether a goal must equal the
-whole memory or occur in it. Unknown fields are rejected.
+`max_memory_len` (int). The optional field `goal_match` ("exact" |
+"substring") says whether a goal must equal the whole memory or occur in
+it. Omitted optional fields take the `ProductionSystem` defaults. Unknown
+fields are rejected.
 
 The marking walk `marked_vector` evaluates the halting predicate over all
 b**d sequences of one depth and returns the halting ones as `MarkedRuns`:
@@ -121,18 +122,20 @@ class ProductionSystem:
 
 
 @dataclass
-class ExecutionResult:
-    """Outcome of running one rule sequence from a start string.
-
-    `trace` lists the memories visited (trace[0] is the start); it truncates
-    where a rule fails to apply or would overflow memory. `halt_depth` is the
-    length of the shortest prefix that reached a goal, or None.
-    """
+class Replay:
+    """Rewrites from a start string: `trace` lists the memories visited (trace[0]
+    is the start), `goal_step` counts the rewrites that first reached a goal
+    (None if none did) and `stop_reason` says why the run ended: "completed",
+    "inapplicable" or "overflow" for `execute_sequence`; "goal", "stuck", "cap"
+    or "overflow" for `deterministic_trace`."""
 
     trace: list[str]
-    halted: bool
-    halt_depth: int | None
-    stop_reason: str  # "completed" | "inapplicable" | "overflow"
+    goal_step: int | None
+    stop_reason: str
+
+    @property
+    def halted(self) -> bool:
+        return self.goal_step is not None
 
 
 @dataclass
@@ -160,6 +163,12 @@ class ClassicalSearchResult:
         return "found" if self.found else "cap_exceeded"
 
 
+def check_start(system: ProductionSystem, start: str) -> None:
+    """Raise InputError unless a search may start from `start`: an initial state."""
+    if start not in system.initial_states:
+        raise InputError(f"start {start!r} is not one of the system's initial states")
+
+
 def _goal_test(system: ProductionSystem) -> Callable[[str], bool]:
     """The system's goal predicate on a memory string, built once per walk."""
     if system.goal_match == "exact":
@@ -168,14 +177,14 @@ def _goal_test(system: ProductionSystem) -> Callable[[str], bool]:
     return lambda memory: any(g in memory for g in goals)
 
 
-def _walk(system: ProductionSystem, start: str, seq: Sequence[int]) -> ExecutionResult:
+def _walk(system: ProductionSystem, start: str, seq: Sequence[int]) -> Replay:
     """Apply a sequence of rule indices, tracking the shallowest goal hit."""
     system.alphabet.check_string(start, "start state")
     b = system.branching_factor
     is_goal = _goal_test(system)
     memory = start
     trace = [memory]
-    halt_depth = 0 if is_goal(memory) else None
+    goal_step = 0 if is_goal(memory) else None
     stop_reason = "completed"
     for step, idx in enumerate(seq, 1):
         if not 0 <= idx < b:
@@ -190,12 +199,12 @@ def _walk(system: ProductionSystem, start: str, seq: Sequence[int]) -> Execution
             break
         memory = nxt
         trace.append(memory)
-        if halt_depth is None and is_goal(memory):
-            halt_depth = step
-    return ExecutionResult(trace, halt_depth is not None, halt_depth, stop_reason)
+        if goal_step is None and is_goal(memory):
+            goal_step = step
+    return Replay(trace, goal_step, stop_reason)
 
 
-def execute_sequence(system: ProductionSystem, start: str, seq: Sequence[int]) -> ExecutionResult:
+def execute_sequence(system: ProductionSystem, start: str, seq: Sequence[int]) -> Replay:
     """Run a rule sequence from `start`.
 
     Raises MemoryOverflow if a rewrite overflows before any goal was reached;
@@ -455,8 +464,7 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
     if depth_cap < 0:
         raise InputError("depth_cap must be >= 0")
     check_walk_depth(depth_cap)
-    if start not in system.initial_states:
-        raise InputError(f"start {start!r} is not one of the system's initial states")
+    check_start(system, start)
     pairs = [(rule.precondition, rule.action) for rule in system.rules]
     max_len = system.max_memory_len
     is_goal = _goal_test(system)
@@ -496,17 +504,7 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
         del dls  # break the closure's cycle through its own cell, as in marked_vector
 
 
-
-@dataclass
-class DeterministicTrace:
-    """Trace of first-applicable-rule evolution from one start string."""
-
-    trace: list[str]
-    goal_step: int | None
-    stop_reason: str  # "goal" | "stuck" | "cap" | "overflow"
-
-
-def deterministic_trace(system: ProductionSystem, start: str, max_steps: int) -> DeterministicTrace:
+def deterministic_trace(system: ProductionSystem, start: str, max_steps: int) -> Replay:
     """Evolve by always firing the lowest-indexed applicable rule.
 
     This is the deterministic control used both to replay compiled machine
@@ -520,21 +518,21 @@ def deterministic_trace(system: ProductionSystem, start: str, max_steps: int) ->
     memory = start
     trace = [memory]
     if is_goal(memory):
-        return DeterministicTrace(trace, 0, "goal")
+        return Replay(trace, 0, "goal")
     for step in range(1, max_steps + 1):
         for pre, post in pairs:
             if pre in memory:
                 nxt = memory.replace(pre, post, 1)
                 break
         else:
-            return DeterministicTrace(trace, None, "stuck")
+            return Replay(trace, None, "stuck")
         if len(nxt) > system.max_memory_len:
-            return DeterministicTrace(trace, None, "overflow")
+            return Replay(trace, None, "overflow")
         memory = nxt
         trace.append(memory)
         if is_goal(memory):
-            return DeterministicTrace(trace, step, "goal")
-    return DeterministicTrace(trace, None, "cap")
+            return Replay(trace, step, "goal")
+    return Replay(trace, None, "cap")
 
 
 _SYSTEM_FIELDS = {"alphabet", "rules", "initial", "goals", "max_memory_len", "goal_match"}
@@ -554,8 +552,9 @@ def system_from_dict(data: dict) -> ProductionSystem:
         rules=tuple(rules),
         initial_states=read_list_of(data, "initial", str, "system"),
         goal_states=read_list_of(data, "goals", str, "system"),
-        max_memory_len=read_field(data, "max_memory_len", int, "system", 64),
-        goal_match=read_field(data, "goal_match", str, "system", "exact"),
+        max_memory_len=read_field(data, "max_memory_len", int, "system",
+                                  ProductionSystem.max_memory_len),
+        goal_match=read_field(data, "goal_match", str, "system", ProductionSystem.goal_match),
     )
 
 

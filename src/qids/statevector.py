@@ -149,7 +149,8 @@ class HaltTimingReport:
     `steps_to_halt[i]` is input i's halting time under the deterministic
     first-applicable-rule control, or None if it does not halt within the
     traced steps. `branch_table` pairs each input string with (steps, halt
-    bit after d steps, final memory). The states are over the inputs.
+    bit after d steps, final memory). The states are over the inputs, and
+    `projection_support[h]` lists those that projecting on halt bit h keeps.
     """
 
     inputs: tuple[str, ...]
@@ -161,6 +162,7 @@ class HaltTimingReport:
     p_halt: float
     projected_continue: np.ndarray | None
     projected_halt: np.ndarray | None
+    projection_support: dict[int, list[int] | None]
 
 
 def halt_timing_demo(system: ProductionSystem, d: int, step_cap: int | None = None) -> HaltTimingReport:
@@ -209,4 +211,6 @@ def halt_timing_demo(system: ProductionSystem, d: int, step_cap: int | None = No
         p_halt=p1,
         projected_continue=projected[0],
         projected_halt=projected[1],
+        projection_support={k: None if proj is None else np.flatnonzero(proj[:, k]).tolist()
+                            for k, proj in projected.items()},
     )

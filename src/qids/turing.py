@@ -280,7 +280,7 @@ def tm_from_dict(data: dict) -> TuringMachineSpec:
         blank=read_field(data, "blank", str, "machine"),
         tape_alphabet=read_list_of(data, "tape_alphabet", str, "machine"),
         entries=tuple(entries),
-        tape_window=read_field(data, "tape_window", int, "machine", 64),
+        tape_window=read_field(data, "tape_window", int, "machine", TuringMachineSpec.tape_window),
     )
 
 

@@ -19,7 +19,6 @@ empirical frequency bound has margin.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 from functools import cache
@@ -27,10 +26,9 @@ from functools import cache
 import numpy as np
 
 from . import driver
-from .driver import (QidConfig, amplified_probabilities, cumulative_calls, depth_rng,
-                     literal_iterations, optimal_iterations, predicted_success_asymptotic,
-                     predicted_success_exact, quantum_iterative_deepening,
-                     report_within_call_budget, within_call_budget)
+from .driver import (QidConfig, amplified_probabilities, call_budget_rows, depth_rng,
+                     literal_iterations, optimal_iterations, predicted_success_exact,
+                     quantum_iterative_deepening, report_within_call_budget, success_row)
 from .errors import QidsError
 from .production import (Alphabet, MarkedRuns, ProductionSystem, Rule, classical_ids,
                          deterministic_trace, execute_sequence, marked_vector)
@@ -45,6 +43,10 @@ CORPUS_SIZE = 20
 RUN_SEED_BASE = 52000
 ACCEPTANCE_TRIALS = 200
 ACCEPTANCE_MIN_PREDICTED = 0.93
+CLEAN_MARGIN = 3  # levels past d* over which a corpus system must stay depth-clean
+CLEAN_D_MAX = 6  # the deepest d* a corpus system may have
+MEASUREMENT_DRAWS = 10_000
+UNITARITY_ITERATIONS = 1000
 DRAW_SEEDS = 40
 
 
@@ -127,26 +129,21 @@ class CorpusEntry:
     k_star: int
 
 
-def _depth_clean(system: ProductionSystem, start: str, margin: int = 3,
-                 d_max: int = 6) -> tuple[int, int] | None:
+def _depth_clean(system: ProductionSystem, start: str) -> tuple[int, int] | None:
     """(d*, k*) if the system qualifies for the acceptance corpus, else None."""
     b = system.branching_factor
     d_star, k_star = None, 0
-    for d in range(d_max + 1):
+    for d in range(CLEAN_D_MAX + 1):
         k = marked_vector(system, start, d).k
         if k > 0:
             d_star, k_star = d, k
             break
     if d_star is None or d_star < 2:
         return None
-    for j in range(1, margin + 1):
-        expected = k_star * b**j
-        actual = marked_vector(system, start, d_star + j).k
-        if actual != expected:
-            return None
-    n = b**d_star
-    m = optimal_iterations(n, k_star)
-    if predicted_success_exact(n, k_star, m) < ACCEPTANCE_MIN_PREDICTED:
+    if any(marked_vector(system, start, d_star + j).k != k_star * b**j
+           for j in range(1, CLEAN_MARGIN + 1)):
+        return None
+    if success_row(b, d_star, k_star)[2] < ACCEPTANCE_MIN_PREDICTED:
         return None
     return d_star, k_star
 
@@ -240,8 +237,6 @@ def check_grover_correctness(coeff: float = 2.0) -> tuple[bool, str]:
     worst = 0.0
     for n in (4, 8, 16, 32, 64):
         for k in (1, 2, 4):
-            if k > n:
-                continue
             marks = np.arange(n) < k
             for m in range(11):
                 sim = simulated_success(marks, m, coeff)
@@ -256,11 +251,8 @@ def reconciliation_table() -> list[dict]:
     """Asymptotic-vs-exact success probabilities for k = 1 at several sizes."""
     rows = []
     for b, d in ((2, 2), (2, 4), (2, 6), (2, 7), (2, 8), (2, 9)):
-        n = b**d
-        m = optimal_iterations(n, 1)
-        asym = predicted_success_asymptotic(b, d, 1)
-        exact = predicted_success_exact(n, 1, m)
-        rows.append({"n_paths": n, "k": 1, "m": m, "asymptotic": asym,
+        m, asym, exact = success_row(b, d, 1)
+        rows.append({"n_paths": b**d, "k": 1, "m": m, "asymptotic": asym,
                      "exact": exact, "gap": abs(asym - exact)})
     return rows
 
@@ -268,9 +260,8 @@ def reconciliation_table() -> list[dict]:
 def check_formula_reconciliation() -> tuple[bool, str]:
     """|asymptotic - exact| <= 0.05 for k=1 once b**d reaches 64."""
     rows = reconciliation_table()
-    big = [r for r in rows if r["n_paths"] >= 64]
     small = [r for r in rows if r["n_paths"] < 64]
-    passed = all(r["gap"] <= 0.05 for r in big)
+    passed = all(r["gap"] <= 0.05 for r in rows if r["n_paths"] >= 64)
     gaps = ", ".join(f"N={r['n_paths']}: {r['gap']:.4f}" for r in rows)
     detail = (f"gaps [{gaps}]; small-N rows "
               + "; ".join(f"N={r['n_paths']} asym={r['asymptotic']:.4f} exact={r['exact']:.4f}"
@@ -278,20 +269,18 @@ def check_formula_reconciliation() -> tuple[bool, str]:
     return passed, detail
 
 
-def check_search_vs_classical(trials: int = ACCEPTANCE_TRIALS) -> tuple[bool, str]:
+def check_search_vs_classical() -> tuple[bool, str]:
     """Amplified search agrees with classical iterative deepening on the corpus."""
     problems = []
     for i, entry in enumerate(acceptance_corpus()):
         system, start = entry.system, entry.start
-        ids = classical_ids(system, start, depth_cap=6)
+        ids = classical_ids(system, start, depth_cap=CLEAN_D_MAX)
         if not ids.found or ids.d_star != entry.d_star:
             problems.append(f"system {i}: classical d* mismatch")
             continue
-        n = system.branching_factor**entry.d_star
-        m = optimal_iterations(n, entry.k_star)
-        predicted = predicted_success_exact(n, entry.k_star, m)
+        predicted = success_row(system.branching_factor, entry.d_star, entry.k_star)[2]
         hits = 0
-        for t in range(trials):
+        for t in range(ACCEPTANCE_TRIALS):
             cfg = QidConfig(seed=RUN_SEED_BASE + 1000 * i + t,
                             depth_cap=entry.d_star + 3)
             report = quantum_iterative_deepening(system, start, cfg)
@@ -305,11 +294,11 @@ def check_search_vs_classical(trials: int = ACCEPTANCE_TRIALS) -> tuple[bool, st
                     problems.append(f"system {i} seed {cfg.seed}: witness does not halt")
                 if report.measured_depth == entry.d_star:
                     hits += 1
-        freq = hits / trials
+        freq = hits / ACCEPTANCE_TRIALS
         if freq < predicted - 0.05:
             problems.append(f"system {i}: success-by-d* rate {freq:.3f} < "
                             f"{predicted:.3f} - 0.05")
-    detail = f"{len(acceptance_corpus())} systems x {trials} seeds"
+    detail = f"{len(acceptance_corpus())} systems x {ACCEPTANCE_TRIALS} seeds"
     if problems:
         detail += "; " + "; ".join(problems[:4])
     return not problems, detail
@@ -318,10 +307,9 @@ def check_search_vs_classical(trials: int = ACCEPTANCE_TRIALS) -> tuple[bool, st
 def check_call_budget() -> tuple[bool, str]:
     """Cumulative optimal-policy oracle calls stay within 4*sqrt(b**d), tabulated inside 60 s."""
     t0 = time.perf_counter()
-    rows = [(b, d, total, root) for b, d_max in ((2, 14), (3, 9))
-            for d, (total, root) in enumerate(cumulative_calls(b, d_max))]
-    worst_ratio = max(total / root for _, _, total, root in rows)
-    ok = all(within_call_budget(total, b, d) for b, d, total, _ in rows)
+    rows = [row for b, d_max in ((2, 14), (3, 9)) for row in call_budget_rows(b, d_max, "optimal")]
+    worst_ratio = max(row["ratio"] for row in rows)
+    ok = all(row["within_bound"] for row in rows)
     elapsed = time.perf_counter() - t0
     return (ok and elapsed < 60.0,
             f"worst total/sqrt(b**d) = {worst_ratio:.3f} (bound 4), {elapsed:.2f}s")
@@ -366,7 +354,8 @@ def check_halt_timing_demo() -> tuple[bool, str]:
         problems.append(f"P(halt) = {report.p_halt!r} != 0.5")
     if abs(report.p_halt + report.p_continue - 1.0) > 1e-10:
         problems.append("halt probabilities do not sum to 1")
-    for k, proj in ((0, report.projected_continue), (1, report.projected_halt)):
+    for k, proj, expected in ((0, report.projected_continue, [2, 3]),
+                              (1, report.projected_halt, [0, 1])):
         if proj is None:
             problems.append(f"projection onto h={k} missing")
             continue
@@ -374,10 +363,8 @@ def check_halt_timing_demo() -> tuple[bool, str]:
             problems.append(f"projection onto h={k} is not unit norm")
         if np.any(np.abs(proj[:, 1 - k]) > 0):
             problems.append(f"projection onto h={k} has support on h={1 - k}")
-        expect_inputs = {2, 3} if k == 0 else {0, 1}
-        support = {int(s) for s in np.nonzero(np.abs(proj[:, k]) > 0)[0]}
-        if support != expect_inputs:
-            problems.append(f"projection onto h={k} supported on inputs {support}")
+        if report.projection_support[k] != expected:
+            problems.append(f"projection onto h={k} keeps inputs {report.projection_support[k]}")
     detail = f"P(halt)={report.p_halt}, times={report.steps_to_halt}"
     if problems:
         detail += "; " + "; ".join(problems)
@@ -406,45 +393,45 @@ def _chi_square_pvalue(counts: np.ndarray, probs: np.ndarray, draws: int) -> flo
     return tail
 
 
-def check_measurement_statistics(draws: int = 10_000, coeff: float = 2.0) -> tuple[bool, str]:
+def check_measurement_statistics(coeff: float = 2.0) -> tuple[bool, str]:
     """Seeded measurement frequencies fit the Born rule at significance 0.001."""
-    cases = []
-    cases.append(("uniform-with-minus-halt", prepare_halt_minus(uniform_superposition(16))))
     rng_state = np.random.default_rng(7)
     raw = rng_state.normal(size=64) + 1j * rng_state.normal(size=64)
-    cases.append(("random-dim-64", (raw / np.linalg.norm(raw)).reshape(32, 2)))
-    cases.append(("amplified-n16", amplified_state(np.arange(16) == 5, 3, coeff)))
+    cases = [("uniform-with-minus-halt", prepare_halt_minus(uniform_superposition(16))),
+             ("random-dim-64", (raw / np.linalg.norm(raw)).reshape(32, 2)),
+             ("amplified-n16", amplified_state(np.arange(16) == 5, 3, coeff))]
 
     problems = []
     for name, state in cases:
         rng = np.random.default_rng(1234)
         counts = np.zeros(state.size)
-        for _ in range(draws):
+        for _ in range(MEASUREMENT_DRAWS):
             label, h = measure(state, rng)
             counts[2 * label + h] += 1
         probs = np.abs(state.ravel()) ** 2
         zero = probs < 1e-15
         if counts[zero].sum() > 0:
             problems.append(f"{name}: drew a zero-probability outcome")
-        p = _chi_square_pvalue(counts[~zero], probs[~zero], draws)
+        p = _chi_square_pvalue(counts[~zero], probs[~zero], MEASUREMENT_DRAWS)
         if p < 0.001:
             problems.append(f"{name}: chi-square p = {p:.2e}")
-    detail = f"{len(cases)} states x {draws} draws"
+    detail = f"{len(cases)} states x {MEASUREMENT_DRAWS} draws"
     if problems:
         detail += "; " + "; ".join(problems)
     return not problems, detail
 
 
-def check_unitarity(iterations: int = 1000, coeff: float = 2.0) -> tuple[bool, str]:
+def check_unitarity(coeff: float = 2.0) -> tuple[bool, str]:
     """Norm drift below 1e-9 after 1000 iterates at dimension 2048."""
     rng = np.random.default_rng(99)
     marks = rng.random(1024) < 0.125
     marks[0] = True  # at least one mark so the iterate is non-trivial
     state = prepare_halt_minus(uniform_superposition(1024))
-    for _ in range(iterations):
+    for _ in range(UNITARITY_ITERATIONS):
         state = grover_iterate(state, marks, coeff)
     drift = abs(np.linalg.norm(state) - 1.0)
-    return drift < 1e-9, f"|norm - 1| = {drift:.3e} after {iterations} iterates at dim 2048"
+    return drift < 1e-9, (f"|norm - 1| = {drift:.3e} after {UNITARITY_ITERATIONS} iterates "
+                          f"at dim 2048")
 
 
 def _closed_form_registers() -> list[tuple[MarkedRuns, int, int]]:
@@ -528,15 +515,14 @@ DENSE_CHECKS = ("grover-correctness", "measurement-statistics", "unitarity-drift
                 "engine-agreement")
 
 
-def run_checks(names: list[str] | None = None, inject_fault: str | None = None,
-               stream=None) -> list[CheckResult]:
+def run_checks(names: list[str] | None = None,
+               inject_fault: str | None = None) -> list[CheckResult]:
     """Run the named checks (all by default), printing one line per check.
 
     Each check is timed here and named by its ALL_CHECKS key; the DENSE_CHECKS
     get the diffusion coefficient. A check that raises a QidsError fails
     with the error as its detail, and the run goes on to the next check.
     """
-    out = stream if stream is not None else sys.stdout
     selected = names or list(ALL_CHECKS)
     unknown = [n for n in selected if n not in ALL_CHECKS]
     if unknown:
@@ -554,10 +540,8 @@ def run_checks(names: list[str] | None = None, inject_fault: str | None = None,
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         result = CheckResult(name, passed, detail, time.perf_counter() - t0)
         results.append(result)
-        print(f"{'PASS' if passed else 'FAIL'} {name} [{result.duration_s:.2f}s] {detail}",
-              file=out)
+        print(f"{'PASS' if passed else 'FAIL'} {name} [{result.duration_s:.2f}s] {detail}")
     total = sum(r.duration_s for r in results)
     print(f"{'PASS' if all(r.passed for r in results) else 'FAIL'} "
-          f"{sum(r.passed for r in results)}/{len(results)} checks in {total:.1f}s",
-          file=out)
+          f"{sum(r.passed for r in results)}/{len(results)} checks in {total:.1f}s")
     return results

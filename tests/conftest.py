@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qids.driver import amplified_probabilities, depth_rng, iterate_count
 from qids.limits import check_size
@@ -113,6 +114,31 @@ def random_system(rng, b=2, n_letters=3, max_len=20, goal_match="exact"):
         goal_states=(goal,),
         max_memory_len=max_len,
         goal_match=goal_match,
+    ), start
+
+
+@st.composite
+def systems(draw, max_lens):
+    """(system, start) over the inputs of `random_system`, drawn by hypothesis so
+    that it explores and shrinks the rules, start and goal themselves: two or
+    three rules over two or three letters, preconditions of one or two letters,
+    actions of up to two, a start of two or three, one goal of one to three,
+    either goal match, and a memory bound from `max_lens`."""
+    b = draw(st.integers(2, 3))
+    letters = "abc"[:draw(st.integers(2, 3))]
+
+    def word(lo, hi):
+        return draw(st.text(alphabet=letters, min_size=lo, max_size=hi))
+
+    rules = tuple(Rule(word(1, 2), word(0, 2)) for _ in range(b))
+    start = word(2, 3)
+    return ProductionSystem(
+        alphabet=Alphabet(tuple(letters)),
+        rules=rules,
+        initial_states=(start,),
+        goal_states=(word(1, 3),),
+        max_memory_len=draw(st.sampled_from(max_lens)),
+        goal_match=draw(st.sampled_from(("exact", "substring"))),
     ), start
 
 

@@ -122,8 +122,9 @@ def test_compile_mistyped_machine_field_exits_1(capsys, tmp_path, field, value):
     assert err.startswith("error:") and repr(field) in err
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
-                         ids=["not-utf8", "nested-100000-deep"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000,
+                                     b'{"max_memory_len": ' + b"9" * 5_000 + b"}"],
+                         ids=["not-utf8", "nested-100000-deep", "integer-5000-digits"])
 @pytest.mark.parametrize("command", [("run", "--seed", "1"),
                                      ("compile-tm", "-o", "out.json"),
                                      ("demo-flaw", "-d", "2", "--seed", "1")])
@@ -450,7 +451,7 @@ def test_measurement_statistics_fails_a_sampler_off_the_born_rule(monkeypatch):
         return measure(state * weights / np.linalg.norm(state * weights), rng)
 
     monkeypatch.setattr("qids.verify.measure", tilted)
-    passed, detail = check_measurement_statistics(draws=2_000)
+    passed, detail = check_measurement_statistics()
     assert not passed and "chi-square p =" in detail
 
 

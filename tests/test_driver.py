@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_system, random_system, reference_search, runs_of
+from conftest import make_system, reference_search, runs_of, systems
 from qids import driver
 from qids.driver import (QidConfig, amplified_probabilities, amplified_weights,
                          cumulative_calls, depth_rng, measure, optimal_iterations,
@@ -165,19 +165,16 @@ def test_perturbed_total_raises_norm_drift_before_the_draw(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 # k = 2 at depth 1, where assume_one sizes m for one mark and exact for two
-@example(system_seed=646, b=3, n_letters=3, goal_match="exact", max_len=4, seed=71, depth_cap=6,
-         counting_mode="assume_one", iterate_policy="optimal", skip=True)
-@given(system_seed=st.integers(0, 2**32 - 1), b=st.integers(2, 3), n_letters=st.integers(2, 3),
-       goal_match=st.sampled_from(("exact", "substring")), max_len=st.sampled_from((4, 20)),
-       seed=st.integers(0, 2**64), depth_cap=st.integers(0, 6),
-       counting_mode=st.sampled_from(driver.COUNTING_MODES),
+@example(case=(make_system([("bc", "a"), ("b", ""), ("b", "")], start="ab", goals=("a",),
+                           alphabet="abc", max_len=4), "ab"),
+         seed=71, depth_cap=6, counting_mode="assume_one", iterate_policy="optimal", skip=True)
+@given(case=systems(max_lens=(4, 20)), seed=st.integers(0, 2**64),
+       depth_cap=st.integers(0, 6), counting_mode=st.sampled_from(driver.COUNTING_MODES),
        iterate_policy=st.sampled_from(driver.ITERATE_POLICIES), skip=st.booleans())
-def test_search_matches_the_reference_search(system_seed, b, n_letters, goal_match, max_len,
-                                             seed, depth_cap, counting_mode, iterate_policy,
-                                             skip):
+def test_search_matches_the_reference_search(case, seed, depth_cap, counting_mode,
+                                             iterate_policy, skip):
     """A seeded search reports what the search built from reference parts finds."""
-    system, start = random_system(np.random.default_rng(system_seed), b=b, n_letters=n_letters,
-                                  max_len=max_len, goal_match=goal_match)
+    system, start = case
     config = QidConfig(seed=seed, depth_cap=depth_cap, counting_mode=counting_mode,
                        iterate_policy=iterate_policy, skip_empty_depths=skip)
     expected = reference_search(system, start, config)
@@ -220,7 +217,7 @@ def test_witness_prefix_is_minimal_even_on_late_success(fig_tree):
         if report.measured_depth > 3:
             assert report.d_star == 3
             assert len(report.witness) > 3
-            assert execute_sequence(fig_tree, "E", report.witness).halt_depth == 3
+            assert execute_sequence(fig_tree, "E", report.witness).goal_step == 3
             break
     else:
         pytest.fail(f"no miss in 400 runs at soak probability {predicted:.3f}")
@@ -307,5 +304,5 @@ def test_search_on_nondeterministic_compiled_machine():
     report = quantum_iterative_deepening(system, start, QidConfig(seed=3, depth_cap=3))
     assert report.found
     replay = execute_sequence(system, start, report.witness)
-    final = decode_config(tm, replay.trace[replay.halt_depth])
+    final = decode_config(tm, replay.trace[replay.goal_step])
     assert final.state == "h"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (assert_read_only, enumerate_paths, make_system, marks_of, parity_system,
-                      random_system, runs_of, sequence_to_index, tree_system)
+                      random_system, runs_of, sequence_to_index, systems, tree_system)
 from qids import production, statevector
 from qids.errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
 from qids.production import (MAX_WALK_DEPTH, Alphabet, ProductionSystem, Rule,
@@ -123,13 +123,13 @@ def test_execute_is_deterministic():
 def test_execute_known_tree_path(fig_tree):
     result = execute_sequence(fig_tree, "E", (0, 1, 0))
     assert result.trace == ["E", "aE", "abE", "abaE"]
-    assert result.halted and result.halt_depth == 3
+    assert result.halted and result.goal_step == 3
 
 
 def test_goal_at_root_halts_with_empty_sequence():
     system = make_system([("A", "B")], start="A", goals=("A",))
     result = execute_sequence(system, "A", ())
-    assert result.halted and result.halt_depth == 0
+    assert result.halted and result.goal_step == 0
     assert result.trace == ["A"]
 
 
@@ -144,7 +144,7 @@ def test_inapplicable_rule_truncates_and_continues():
 def test_inapplicable_after_goal_still_halts():
     system = make_system([("A", "B"), ("C", "A")], goals=("B",))
     result = execute_sequence(system, "A", (0, 1))
-    assert result.halted and result.halt_depth == 1
+    assert result.halted and result.goal_step == 1
     assert result.trace == ["A", "B"]
 
 
@@ -152,7 +152,7 @@ def test_overflow_propagates_unless_goal_reached():
     system = make_system([("A", "AA")], max_len=3, goals=("AA",))
     # goal reached at step 1, overflow at step 3 is tolerated
     result = execute_sequence(system, "A", (0, 0, 0))
-    assert result.halted and result.halt_depth == 1
+    assert result.halted and result.goal_step == 1
     assert result.trace == ["A", "AA", "AAA"]
     hopeless = make_system([("A", "AA")], max_len=3, goals=("B",))
     with pytest.raises(MemoryOverflow):
@@ -237,13 +237,12 @@ def test_marked_vector_matches_predicate(fig_tree):
 
 # two or three letters and a memory of 3 or 4 symbols make overflow common
 @settings(max_examples=400, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), b=st.integers(2, 3), n_letters=st.integers(2, 3),
-       max_len=st.integers(3, 4), goal_match=st.sampled_from(("exact", "substring")))
-def test_marking_walk_matches_reference(seed, b, n_letters, max_len, goal_match):
+@given(case=systems(max_lens=(3, 4)))
+def test_marking_walk_matches_reference(case):
     """The bitmap built from the unchecked walk's runs is the halting predicate on
     every sequence, and classical_ids's d* is the first depth with marks."""
-    system, start = random_system(np.random.default_rng(seed), b=b, n_letters=n_letters,
-                                  max_len=max_len, goal_match=goal_match)
+    system, start = case
+    b = system.branching_factor
     cap = 6 if b == 2 else 5
     first_marked = None
     for d in range(cap + 1):

@@ -186,7 +186,7 @@ def test_compiled_ids_reaches_incremented_tape(unary_inc):
     result = classical_ids(system, start, 6)
     assert result.found and result.d_star == 3
     replay = execute_sequence(system, start, result.witness)
-    final = decode_config(unary_inc, replay.trace[replay.halt_depth])
+    final = decode_config(unary_inc, replay.trace[replay.goal_step])
     assert final.tape.rstrip("_") == "111"
     assert final.state == "h"
 
