@@ -266,6 +266,10 @@ def main(argv=None) -> int:
     except (QidsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'no detail'}); a smaller QIDS_SIM_CAP "
+              f"refuses such inputs before allocating", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def entrypoint() -> None:

@@ -22,13 +22,14 @@ over the runs of marked sequences that `production.marked_vector` returns
 and one division, with no length-2N vector, no b**d bitmap and whatever the
 iterate count. The runs also give k, and `measure` hands back whether the
 measured sequence halts. It returns the index that `rng.choice` over the
-flat vector (`amplified_probabilities`) draws from that same double, so
-seeded reports match the dense engine's: `verify.check_engine_agreement`
-ties that vector to `statevector.amplified_state`, the reference that runs
-the iterate itself. The vector, and the bitmap it is spread from, are built
-only when the double falls within rounding distance of a step edge, to draw
-from it as before. `verify.check_draw_agreement` holds `measure` to
-`rng.choice`, so a numpy whose `choice` draws differently fails the gate
+flat vector (`amplified_probabilities`) draws from that same double
+(`vector_draw`, the reference draw), so seeded reports match the dense
+engine's: `verify.check_engine_agreement` ties that vector to
+`statevector.amplified_state`, the reference that runs the iterate
+itself. The vector, and the bitmap it is spread from, are built only when
+the double falls within rounding distance of a step edge, to draw from it
+with `vector_draw`. `verify.check_draw_agreement` holds `measure` to
+`vector_draw`, so a numpy whose `choice` draws differently fails the gate
 instead of silently changing seeded reports.
 
 Rebuilding makes the cost of re-scanning shallow levels geometric: with the
@@ -223,15 +224,21 @@ def amplified_weights(n_paths: int, k: int, m: int) -> tuple[float, float]:
     return p_marked, p_unmarked
 
 
-def amplified_probabilities(marks: np.ndarray, k: int, m: int) -> np.ndarray:
+def amplified_probabilities(marks: np.ndarray, m: int) -> np.ndarray:
     """Flat Born probabilities of `statevector.amplified_state` after m iterates, in closed form.
 
-    Each entry is one of the two `amplified_weights`, in the flat layout
-    p*2 + h of the dense register.
+    Each entry is one of the two `amplified_weights` of the marks' count, in
+    the flat layout p*2 + h of the dense register.
     """
-    p_marked, p_unmarked = amplified_weights(len(marks), k, m)
+    p_marked, p_unmarked = amplified_weights(len(marks), int(np.count_nonzero(marks)), m)
     check_size(2 * len(marks), "probability vector")
     return np.repeat(np.where(marks, p_marked, p_unmarked), 2)
+
+
+def vector_draw(probs: np.ndarray, seed: int, depth: int) -> int:
+    """The sequence that `rng.choice` over the flat vector `probs` draws with the
+    depth's generator: the reference draw every seeded measurement is held to."""
+    return sample_index(probs, depth_rng(seed, depth)) // 2
 
 
 def _candidate(runs: MarkedRuns, p_marked: float, p_unmarked: float, t: float) -> int | None:
@@ -306,12 +313,12 @@ def measure(runs: MarkedRuns, m: int, seed: int, depth: int) -> tuple[int, bool,
     after m iterates, its mark, and whether the inverse CDF gave it.
 
     The closed-form counterpart of `statevector.measure` on the amplified
-    state: the index is the one `sample_index(amplified_probabilities(
-    bitmap(runs), runs.k, m), depth_rng(seed, depth)) // 2` draws. The
-    closed-form total is checked for NormDrift before the depth's generator
-    is touched; the bitmap and the probability vector are built only when
-    the drawn double sits on a step edge. Either way the runs are searched
-    for the index once. Logs the round as one INFO line.
+    state: the index is the one `vector_draw` draws from
+    `amplified_probabilities(bitmap(runs), m)`. The closed-form total is
+    checked for NormDrift before the depth's generator is touched; the
+    bitmap and the probability vector are built only when the drawn double
+    sits on a step edge. Either way the runs are searched for the index
+    once. Logs the round as one INFO line.
     """
     n_paths, k = runs.n, runs.k
     p_marked, p_unmarked = amplified_weights(n_paths, k, m)
@@ -322,8 +329,7 @@ def measure(runs: MarkedRuns, m: int, seed: int, depth: int) -> tuple[int, bool,
     if fast:
         index, marked = found
     else:
-        probs = amplified_probabilities(bitmap(runs), k, m)
-        index = sample_index(probs, depth_rng(seed, depth)) // 2
+        index = vector_draw(amplified_probabilities(bitmap(runs), m), seed, depth)
         marked = runs.locate(index)[1]
     log.info("depth=%d k=%d m=%d index=%d halting=%s draw=%s", depth, k, m, index, marked,
              "inverse-cdf" if fast else "vector")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import sys
+import weakref
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -340,35 +341,40 @@ class MarkedRuns:
 
 
 def _byte_bounded_cache(walk):
-    """Memoise `walk(system, start, d)` on runs of at most `sim_cap()` bytes in all.
+    """Memoise `walk(system, start, d)` on entries of at most `sim_cap()` bytes in all.
 
     Entries are keyed by the system's identity, not its value, so a hit is
     one dict lookup whose key hashes in constant time instead of hashing
-    every rule of the system. Each entry holds its system, so that id cannot
-    be reused while the entry lives. An entry's size is `sys.getsizeof` of
-    its `MarkedRuns`, arrays included: about 16 bytes a run, so interleaved marks
-    (up to n/2 runs) can weigh 8 bytes a sequence. Before an entry is
-    inserted, the oldest entries are dropped until it fits; one that alone
-    exceeds the cap is returned without being kept.
+    every rule of the system. An entry holds its system only weakly, so a
+    system the caller drops is freed; a hit needs the entry's reference to
+    return the very system asked about, and an entry whose system died is
+    dropped when its id comes back on another. An entry's size is
+    `sys.getsizeof` of its `MarkedRuns`, arrays included, plus that of the
+    start string its key holds: about 16 bytes a run, so interleaved marks
+    (up to n/2 runs) can weigh 8 bytes a sequence. An entry's tuples, weak
+    reference and dict slot, about 500 bytes, are not counted. Before an
+    entry is inserted, the oldest entries are dropped until it fits; one
+    that alone exceeds the cap is returned without being kept.
     """
-    entries: dict[tuple[int, str, int], tuple[ProductionSystem, MarkedRuns, int]] = {}
+    entries: dict[tuple[int, str, int], tuple[weakref.ref, MarkedRuns, int]] = {}
     held = 0
 
     @functools.wraps(walk)
     def cached(system: ProductionSystem, start: str, d: int) -> MarkedRuns:
         nonlocal held
         key = (id(system), start, d)
-        try:
-            return entries[key][1]
-        except KeyError:
-            pass
+        entry = entries.get(key)
+        if entry is not None:
+            if entry[0]() is system:
+                return entry[1]
+            held -= entries.pop(key)[2]
         runs = walk(system, start, d)
-        size = sys.getsizeof(runs)
+        size = sys.getsizeof(runs) + sys.getsizeof(start)
         cap = sim_cap()
         if size <= cap:
             while held + size > cap:
                 held -= entries.pop(next(iter(entries)))[2]
-            entries[key] = (system, runs, size)
+            entries[key] = (weakref.ref(system), runs, size)
             held += size
         return runs
 

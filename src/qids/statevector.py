@@ -93,10 +93,18 @@ def grover_iterate(state: np.ndarray, marks: np.ndarray, coeff: float = 2.0) -> 
 
 
 def amplified_state(marks: np.ndarray, m: int, coeff: float = 2.0) -> np.ndarray:
-    """Uniform start over the len(marks) sequences, halt bit in the minus state, m iterates."""
+    """Uniform start over the len(marks) sequences, halt bit in the minus state, m iterates.
+
+    Each iterate is `grover_iterate`'s arithmetic done in place, without its
+    two fresh arrays, so the result equals m applications of it bit for bit.
+    """
     state = prepare_halt_minus(uniform_superposition(len(marks)))
+    idx = np.flatnonzero(marks)
     for _ in range(m):
-        state = grover_iterate(state, marks, coeff)
+        state[idx] = state[idx, ::-1]
+        for h in (0, 1):
+            col = state[:, h]
+            np.subtract(coeff * col.mean(), col, out=col)
     return state
 
 

@@ -26,15 +26,14 @@ from functools import cache
 import numpy as np
 
 from . import driver
-from .driver import (QidConfig, amplified_probabilities, call_budget_rows, depth_rng,
-                     literal_iterations, optimal_iterations, predicted_success_exact,
-                     quantum_iterative_deepening, report_within_call_budget, success_row)
+from .driver import (QidConfig, amplified_probabilities, call_budget_rows, literal_iterations,
+                     optimal_iterations, predicted_success_exact, quantum_iterative_deepening,
+                     report_within_call_budget, success_row, vector_draw)
 from .errors import QidsError
 from .production import (Alphabet, MarkedRuns, ProductionSystem, Rule, classical_ids,
                          deterministic_trace, execute_sequence, marked_vector)
 from .statevector import (amplified_state, bitmap, grover_iterate, halt_timing_demo, measure,
-                          prepare_halt_minus, sample_index, simulated_success,
-                          uniform_superposition)
+                          prepare_halt_minus, simulated_success, uniform_superposition)
 from .turing import (DeltaEntry, TuringMachineSpec, compile_tm, decode_config,
                      initial_memory, tm_trace)
 
@@ -457,7 +456,7 @@ def check_engine_agreement(coeff: float = 2.0) -> tuple[bool, str]:
     for runs, _, m in cases:
         marks = bitmap(runs)
         dense = np.abs(amplified_state(marks, m, coeff).ravel()) ** 2
-        closed = amplified_probabilities(marks, runs.k, m)
+        closed = amplified_probabilities(marks, m)
         worst = max(worst, float(np.max(np.abs(dense - closed))))
     return worst <= 1e-12, (f"max |dense - closed form| = {worst:.3e} over {len(cases)} "
                             f"registers (tolerance 1e-12)")
@@ -468,8 +467,8 @@ def check_draw_agreement() -> tuple[bool, str]:
 
     On `check_engine_agreement`'s registers, and on registers of 4096
     sequences with none and with all of them marked, each over DRAW_SEEDS
-    seeds, the seeded `driver.measure` must equal `sample_index` over
-    `amplified_probabilities` with the same depth generator. The draw relies
+    seeds, the seeded `driver.measure` must equal `driver.vector_draw` over
+    `amplified_probabilities`. The draw relies
     on how numpy's `choice` turns one double into an index; a numpy that
     changes it fails here.
     """
@@ -480,10 +479,10 @@ def check_draw_agreement() -> tuple[bool, str]:
     draws = fallbacks = 0
     problems = []
     for c, (runs, depth, m) in enumerate(cases):
-        probs = amplified_probabilities(bitmap(runs), runs.k, m)
+        probs = amplified_probabilities(bitmap(runs), m)
         for seed in range(RUN_SEED_BASE, RUN_SEED_BASE + DRAW_SEEDS):
             index, _, fast = driver.measure(runs, m, seed, depth)
-            expected = sample_index(probs, depth_rng(seed, depth)) // 2
+            expected = vector_draw(probs, seed, depth)
             draws += 1
             fallbacks += not fast
             if index != expected:

@@ -1,13 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qids.driver import amplified_probabilities, depth_rng, iterate_count
+from qids.driver import amplified_probabilities, iterate_count, vector_draw
 from qids.limits import check_size
 from qids.production import Alphabet, MarkedRuns, ProductionSystem, Rule, halting_predicate
-from qids.statevector import bitmap, sample_index
+from qids.statevector import bitmap
 
 
 def tree_system(depth: int, goal_word: str = "aba") -> ProductionSystem:
@@ -152,7 +156,7 @@ def enumerate_paths(b, d):
 def reference_search(system, start, config):
     """The search built from reference parts only: per depth, the bitmap of
     `halting_predicate` over `enumerate_paths`, `iterate_count` under the
-    config, and `rng.choice` over the closed-form vector. Returns (found,
+    config, and `vector_draw` over the closed-form vector. Returns (found,
     witness, total oracle calls, per-depth (k, m, skipped, measured index,
     measured halting)), in the driver's report terms."""
     b = system.branching_factor
@@ -166,13 +170,21 @@ def reference_search(system, start, config):
             continue
         k_policy = k if config.counting_mode == "exact" else 1
         m = iterate_count(len(paths), max(k_policy, 1), config.iterate_policy)
-        probs = amplified_probabilities(marks, k, m)
-        index = sample_index(probs, depth_rng(config.seed, depth)) // 2
+        index = vector_draw(amplified_probabilities(marks, m), config.seed, depth)
         total += m
         rows.append((k, m, False, index, bool(marks[index])))
         if marks[index]:
             return True, paths[index], total, rows
     return False, None, total, rows
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports qids from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def sequence_to_index(seq, b):

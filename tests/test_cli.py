@@ -2,10 +2,7 @@
 
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -14,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from qids.cli import main
 from qids.production import load_system
 from qids.statevector import measure
@@ -341,6 +339,20 @@ def test_predict_beyond_float_range_exits_1(capsys, b, d):
     assert err.startswith("error:")
 
 
+def test_running_out_of_memory_is_an_error_line():
+    """A cap past what the process may allocate ends in one `error:` line that names
+    QIDS_SIM_CAP, not a traceback. The address-space limit is set in the child only."""
+    run = run_python(
+        "import os, resource, sys; os.environ['QIDS_SIM_CAP'] = str(2**40); "
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'; "
+        "resource.setrlimit(resource.RLIMIT_AS, "
+        "(3 * 10**9, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+        "import qids.cli; sys.exit(qids.cli.main(['predict', '2', '30', '1']))")
+    assert run.returncode == 1, run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "QIDS_SIM_CAP" in lines[0]
+
+
 # --- bench --------------------------------------------------------------------------
 
 def test_bench_ratios_within_bound(capsys):
@@ -589,12 +601,8 @@ def test_cli_fuzz_compile_tm_never_raises(capsys, tmp_path, machine, tapes):
 # --- dependencies -------------------------------------------------------------------
 
 def test_verify_measurement_statistics_runs_without_scipy():
-    code = ("import sys; sys.modules['scipy'] = None; import qids.cli; "
-            "sys.exit(qids.cli.main(['verify', '--only', 'measurement-statistics']))")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = run_python("import sys; sys.modules['scipy'] = None; import qids.cli; "
+                     "sys.exit(qids.cli.main(['verify', '--only', 'measurement-statistics']))")
     assert run.returncode == 0, run.stderr
     assert "PASS measurement-statistics" in run.stdout
 

@@ -13,10 +13,10 @@ from qids import driver
 from qids.driver import (QidConfig, amplified_probabilities, amplified_weights,
                          cumulative_calls, depth_rng, measure, optimal_iterations,
                          predicted_success_exact, quantum_iterative_deepening, report_to_json,
-                         report_within_call_budget, within_call_budget)
+                         report_within_call_budget, vector_draw, within_call_budget)
 from qids.errors import InputError, NormDrift, SizeLimit
 from qids.production import MAX_WALK_DEPTH, MarkedRuns, execute_sequence, marked_vector
-from qids.statevector import bitmap, sample_index
+from qids.statevector import bitmap
 
 
 def run(system, start, seed, **kwargs):
@@ -85,11 +85,6 @@ def test_depth_rng_split_is_stable():
     assert draws_a != depth_rng(5, 4).integers(0, 1000, size=4).tolist()
 
 
-def reference_draw(runs, m, rng):
-    """The sequence `rng.choice` picks from the closed-form flat vector."""
-    return sample_index(amplified_probabilities(bitmap(runs), runs.k, m), rng) // 2
-
-
 @st.composite
 def registers(draw_from):
     n = draw_from(st.integers(1, 3000))
@@ -104,7 +99,7 @@ def registers(draw_from):
        depth=st.integers(0, 30))
 def test_draw_is_the_rng_choice_index(register, m, seed, depth):
     index, marked, _ = measure(register, m, seed, depth)
-    assert index == reference_draw(register, m, depth_rng(seed, depth))
+    assert index == vector_draw(amplified_probabilities(bitmap(register), m), seed, depth)
     assert marked == bitmap(register)[index]
 
 
@@ -122,12 +117,13 @@ class FixedDouble(np.random.Generator):
 def test_draw_on_a_step_edge_falls_back_and_agrees(monkeypatch):
     # every flat step carries mass: 0.14 per marked entry, 0.0155 per unmarked one
     runs, m = MarkedRuns(8, [(2, 1), (5, 2)]), 1
-    cdf = np.cumsum(amplified_probabilities(bitmap(runs), runs.k, m))
+    probs = amplified_probabilities(bitmap(runs), m)
+    cdf = np.cumsum(probs)
     edges = np.concatenate(([0.0], cdf[:-1])) / cdf[-1]
     mids = (edges + np.append(edges[1:], 1.0)) / 2
     for f in range(2 * runs.n):
         monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(edges[f]))
-        index = reference_draw(runs, m, FixedDouble(edges[f]))
+        index = vector_draw(probs, 0, 3)
         assert measure(runs, m, 0, 3) == (index, runs.locate(index)[1], False)
         monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(mids[f]))
         assert measure(runs, m, 0, 3) == (f // 2, runs.locate(f // 2)[1], True)

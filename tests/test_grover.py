@@ -1,4 +1,4 @@
-"""Oracle, diffusion, iterate behaviour, and the success-probability formulas."""
+"""Iterate counts, the success-probability formulas and the closed-form vector."""
 
 import math
 
@@ -12,102 +12,7 @@ from qids.errors import InputError, KZero, SizeLimit
 from qids.driver import (amplified_probabilities, literal_iterations, optimal_iterations,
                          predicted_success_asymptotic, predicted_success_exact)
 from qids.production import marked_vector
-from qids.statevector import (amplified_state, apply_diffusion, apply_oracle, grover_iterate,
-                              prepare_halt_minus, simulated_success, uniform_superposition)
-
-
-def minus_uniform(n):
-    return prepare_halt_minus(uniform_superposition(n))
-
-
-def random_state(gen, n):
-    raw = gen.normal(size=(n, 2)) + 1j * gen.normal(size=(n, 2))
-    return raw / np.linalg.norm(raw)
-
-
-# --- oracle ---------------------------------------------------------------------
-
-def test_oracle_phase_flips_marked_entry_only():
-    state = minus_uniform(4)
-    marks = np.arange(4) == 1
-    flipped = apply_oracle(state, marks)
-    assert np.allclose(flipped[1], -state[1])
-    for p in (0, 2, 3):
-        assert np.allclose(flipped[p], state[p])
-
-
-def test_oracle_with_empty_predicate_is_identity():
-    state = minus_uniform(8)
-    marks = np.zeros(8, dtype=bool)
-    assert np.array_equal(apply_oracle(state, marks), state)
-
-
-def test_oracle_is_involution():
-    gen = np.random.default_rng(31)
-    for _ in range(10):
-        state = random_state(gen, 16)
-        marks = gen.random(16) < 0.4
-        twice = apply_oracle(apply_oracle(state, marks), marks)
-        assert np.max(np.abs(twice - state)) < 1e-12
-
-
-def test_oracle_xors_halt_bit_without_minus_preparation():
-    state = uniform_superposition(4)  # halt bit |0> everywhere
-    marks = np.arange(4) == 3
-    out = apply_oracle(state, marks)
-    assert out[3, 0] == 0 and out[3, 1] != 0
-
-
-def test_oracle_reads_a_0_1_integer_array_as_a_mask():
-    state = minus_uniform(4)
-    as_bool = apply_oracle(state, np.arange(4) == 1)
-    assert np.array_equal(apply_oracle(state, np.array([0, 1, 0, 0])), as_bool)
-
-
-def test_oracle_rejects_a_bitmap_of_another_length():
-    with pytest.raises(InputError):
-        apply_oracle(minus_uniform(4), np.zeros(8, dtype=bool))
-
-
-# --- diffusion -------------------------------------------------------------------
-
-def test_diffusion_fixes_uniform_state():
-    state = minus_uniform(8)
-    assert np.max(np.abs(apply_diffusion(state) - state)) < 1e-12
-
-
-def test_diffusion_on_basis_vector():
-    state = np.zeros((4, 2), dtype=np.complex128)
-    state[0, 0] = 1.0
-    out = apply_diffusion(state)
-    assert np.allclose(out[:, 0], [-0.5, 0.5, 0.5, 0.5])
-    assert np.all(out[:, 1] == 0)
-
-
-def test_diffusion_preserves_norm():
-    gen = np.random.default_rng(8)
-    state = random_state(gen, 32)
-    assert abs(np.linalg.norm(apply_diffusion(state)) - 1.0) < 1e-12
-
-
-# --- iterate ---------------------------------------------------------------------
-
-def test_single_iterate_nails_n4_k1():
-    marks = np.arange(4) == 2
-    state = grover_iterate(minus_uniform(4), marks)
-    assert np.sum(np.abs(state[marks]) ** 2) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_iterate_with_no_marks_fixes_uniform():
-    marks = np.zeros(8, dtype=bool)
-    state = minus_uniform(8)
-    out = grover_iterate(state, marks)
-    assert np.max(np.abs(out - state)) < 1e-12
-
-
-def test_three_iterates_n16():
-    marks = np.arange(16) == 11
-    assert simulated_success(marks, 3) == pytest.approx(0.9613, abs=1e-4)
+from qids.statevector import amplified_state, simulated_success
 
 
 # --- iterate-count policy -----------------------------------------------------------
@@ -187,8 +92,7 @@ def marks_and_iterates(draw):
 @example((np.ones(64, dtype=bool), 5))
 def test_closed_form_probabilities_match_dense_engine(case):
     marks, m = case
-    k = int(marks.sum())
-    closed = amplified_probabilities(marks, k, m)
+    closed = amplified_probabilities(marks, m)
     state = amplified_state(marks, m)
     assert state.shape == (len(marks), 2)
     dense = np.abs(state.ravel()) ** 2
@@ -199,12 +103,10 @@ def test_closed_form_probabilities_match_dense_engine(case):
 
 def test_closed_form_probabilities_reject_bad_input(monkeypatch):
     with pytest.raises(InputError):
-        amplified_probabilities(np.zeros(4, dtype=bool), 5, 1)
-    with pytest.raises(InputError):
-        amplified_probabilities(np.zeros(4, dtype=bool), 0, -1)
+        amplified_probabilities(np.zeros(4, dtype=bool), -1)
     monkeypatch.setenv("QIDS_SIM_CAP", "64")
     with pytest.raises(SizeLimit):
-        amplified_probabilities(np.zeros(64, dtype=bool), 0, 1)
+        amplified_probabilities(np.zeros(64, dtype=bool), 1)
 
 
 def test_optimal_policy_reaches_half_mass_when_sparse():
@@ -232,12 +134,3 @@ def test_prefix_structure_grows_counts_on_random_systems():
             k_here = marked_vector(system, start, d).k
             k_next = marked_vector(system, start, d + 1).k
             assert k_next >= b * k_here
-
-
-def test_unitarity_across_iterates():
-    gen = np.random.default_rng(17)
-    marks = gen.random(64) < 0.2
-    state = minus_uniform(64)
-    for _ in range(200):
-        state = grover_iterate(state, marks)
-    assert abs(np.linalg.norm(state) - 1.0) < 1e-12

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import sys
+import tracemalloc
 import types
 import weakref
 
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (assert_read_only, enumerate_paths, make_system, marks_of, parity_system,
-                      random_system, runs_of, sequence_to_index, systems, tree_system)
+                      random_system, run_python, runs_of, sequence_to_index, systems,
+                      tree_system)
 from qids import production, statevector
 from qids.errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
 from qids.production import (MAX_WALK_DEPTH, Alphabet, ProductionSystem, Rule,
@@ -364,6 +366,37 @@ def test_marking_cache_returns_an_entry_over_the_cap_without_keeping_it(monkeypa
     assert marked_vector(tree, "E", 10) is small
 
 
+def test_marking_cache_frees_dropped_systems_and_counts_start_strings(monkeypatch, tmp_path):
+    """Each load of a system file is a new system with a new start string. The cache
+    holds the systems weakly and counts the starts, so a dropped system is freed and
+    many loads stay within twice the cap."""
+    cap = 2**16
+    start = "a" * 20_000 + "E"
+    path = tmp_path / "long_start.json"
+    save_system(make_system([("E", "aE"), ("E", "bE")], start=start, goals=("abE",),
+                            alphabet="abE", max_len=len(start) + 8), path)
+    monkeypatch.setenv("QIDS_SIM_CAP", str(cap))
+    marked_vector.cache_clear()
+    system = load_system(path)
+    marked_vector(system, system.initial_states[0], 2)
+    dropped = weakref.ref(system)
+    del system
+    assert dropped() is None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            system = load_system(path)
+            for d in range(3):
+                marked_vector(system, system.initial_states[0], d)
+        del system
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    marked_vector.cache_clear()
+    assert grown <= 2 * cap
+
+
 @st.composite
 def bitmaps(draw):
     """A mark table over 1 to 300 sequences: none, all, alternating or random marks."""
@@ -394,6 +427,15 @@ def test_production_binds_no_numpy():
         origin = (value.__name__ if isinstance(value, types.ModuleType)
                   else getattr(value, "__module__", None))
         assert not (origin or "").startswith("numpy"), name
+
+
+def test_production_and_turing_import_without_numpy_or_the_engines():
+    """Imported alone, the classical layers load neither numpy nor the driver or the
+    dense engine."""
+    run = run_python("import sys, qids.production, qids.turing; print(sorted(m for m in "
+                     "('numpy', 'qids.driver', 'qids.statevector') if m in sys.modules))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_statevector_binds_nothing_from_driver():

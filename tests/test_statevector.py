@@ -1,12 +1,13 @@
-"""Statevector engine: preparation, measurement, projection, demo."""
+"""Statevector engine: preparation, oracle, diffusion, iterate, measurement, projection, demo."""
 
 import numpy as np
 import pytest
 
 from conftest import make_system
 from qids.errors import InputError, NormDrift, SizeLimit, ZeroProbability
-from qids.statevector import (amplified_state, halt_timing_demo, measure, prepare_halt_minus,
-                              project_halt, uniform_superposition)
+from qids.statevector import (amplified_state, apply_diffusion, apply_oracle, grover_iterate,
+                              halt_timing_demo, measure, prepare_halt_minus, project_halt,
+                              simulated_success, uniform_superposition)
 from qids.verify import halt_timing_system
 
 
@@ -15,6 +16,15 @@ def basis_state(labels, label, h):
     state = np.zeros((labels, 2), dtype=np.complex128)
     state[label, h] = 1.0
     return state
+
+
+def minus_uniform(n):
+    return prepare_halt_minus(uniform_superposition(n))
+
+
+def random_state(gen, n):
+    raw = gen.normal(size=(n, 2)) + 1j * gen.normal(size=(n, 2))
+    return raw / np.linalg.norm(raw)
 
 
 def test_basis_index_layout_keeps_halt_least_significant():
@@ -142,6 +152,113 @@ def test_project_halt_zero_probability():
     state = uniform_superposition(4)  # all support on h=0
     with pytest.raises(ZeroProbability):
         project_halt(state, 1)
+
+
+# --- oracle ---------------------------------------------------------------------
+
+def test_oracle_phase_flips_marked_entry_only():
+    state = minus_uniform(4)
+    marks = np.arange(4) == 1
+    flipped = apply_oracle(state, marks)
+    assert np.allclose(flipped[1], -state[1])
+    for p in (0, 2, 3):
+        assert np.allclose(flipped[p], state[p])
+
+
+def test_oracle_with_empty_predicate_is_identity():
+    state = minus_uniform(8)
+    marks = np.zeros(8, dtype=bool)
+    assert np.array_equal(apply_oracle(state, marks), state)
+
+
+def test_oracle_is_involution():
+    gen = np.random.default_rng(31)
+    for _ in range(10):
+        state = random_state(gen, 16)
+        marks = gen.random(16) < 0.4
+        twice = apply_oracle(apply_oracle(state, marks), marks)
+        assert np.max(np.abs(twice - state)) < 1e-12
+
+
+def test_oracle_xors_halt_bit_without_minus_preparation():
+    state = uniform_superposition(4)  # halt bit |0> everywhere
+    marks = np.arange(4) == 3
+    out = apply_oracle(state, marks)
+    assert out[3, 0] == 0 and out[3, 1] != 0
+
+
+def test_oracle_reads_a_0_1_integer_array_as_a_mask():
+    state = minus_uniform(4)
+    as_bool = apply_oracle(state, np.arange(4) == 1)
+    assert np.array_equal(apply_oracle(state, np.array([0, 1, 0, 0])), as_bool)
+
+
+def test_oracle_rejects_a_bitmap_of_another_length():
+    with pytest.raises(InputError):
+        apply_oracle(minus_uniform(4), np.zeros(8, dtype=bool))
+
+
+# --- diffusion -------------------------------------------------------------------
+
+def test_diffusion_fixes_uniform_state():
+    state = minus_uniform(8)
+    assert np.max(np.abs(apply_diffusion(state) - state)) < 1e-12
+
+
+def test_diffusion_on_basis_vector():
+    state = np.zeros((4, 2), dtype=np.complex128)
+    state[0, 0] = 1.0
+    out = apply_diffusion(state)
+    assert np.allclose(out[:, 0], [-0.5, 0.5, 0.5, 0.5])
+    assert np.all(out[:, 1] == 0)
+
+
+def test_diffusion_preserves_norm():
+    gen = np.random.default_rng(8)
+    state = random_state(gen, 32)
+    assert abs(np.linalg.norm(apply_diffusion(state)) - 1.0) < 1e-12
+
+
+# --- iterate ---------------------------------------------------------------------
+
+def test_single_iterate_nails_n4_k1():
+    marks = np.arange(4) == 2
+    state = grover_iterate(minus_uniform(4), marks)
+    assert np.sum(np.abs(state[marks]) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_iterate_with_no_marks_fixes_uniform():
+    marks = np.zeros(8, dtype=bool)
+    state = minus_uniform(8)
+    out = grover_iterate(state, marks)
+    assert np.max(np.abs(out - state)) < 1e-12
+
+
+def test_three_iterates_n16():
+    marks = np.arange(16) == 11
+    assert simulated_success(marks, 3) == pytest.approx(0.9613, abs=1e-4)
+
+
+def test_unitarity_across_iterates():
+    gen = np.random.default_rng(17)
+    marks = gen.random(64) < 0.2
+    state = minus_uniform(64)
+    for _ in range(200):
+        state = grover_iterate(state, marks)
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("coeff", [2.0, 2.0 + 1e-3])
+def test_amplified_state_is_m_iterates_bit_for_bit(coeff):
+    """The in-place iterate of `amplified_state` equals the pure `grover_iterate`
+    exactly, under the true diffusion coefficient and the injected fault's."""
+    gen = np.random.default_rng(12)
+    for marks in (gen.random(64) < 0.2, np.zeros(8, dtype=bool), np.ones(8, dtype=bool),
+                  np.arange(1024) == 77):
+        state = minus_uniform(len(marks))
+        for m in range(30):
+            assert np.array_equal(amplified_state(marks, m, coeff), state)
+            state = grover_iterate(state, marks, coeff)
 
 
 # --- halt-observation demo -----------------------------------------------------
