@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -339,6 +340,7 @@ def test_predict_beyond_float_range_exits_1(capsys, b, d):
     assert err.startswith("error:")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds allocations on Linux only")
 def test_running_out_of_memory_is_an_error_line():
     """A cap past what the process may allocate ends in one `error:` line that names
     QIDS_SIM_CAP, not a traceback. The address-space limit is set in the child only."""
