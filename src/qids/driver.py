@@ -41,19 +41,22 @@ that `within_call_budget` states and `cumulative_calls` tabulates.
 `production.ClassicalSearchResult`, straight from their fields, which are
 the format; qids writes reports and never reads them back. The volatile
 fields (wall time, timestamp) can be suppressed so reports from identical
-seeded runs compare byte-for-byte.
+seeded runs compare byte-for-byte. Its writer appends to one list and
+produces exactly the text of `json.dumps(data, indent=2, default=vars)`,
+scalar spellings included, without the reference cycles that the standard
+library's indenting encoder leaves for the garbage collector.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import ClassVar
 
 import numpy as np
@@ -427,4 +430,60 @@ def report_to_json(report: SearchReport | ClassicalSearchResult,
         data["timestamp"] = timestamp()
     else:
         data.pop("wall_time_s", None)
-    return json.dumps(data, indent=2, default=vars) + "\n"
+    out: list[str] = []
+    _write_json(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append `value` as `json.dumps(value, indent=2, default=vars)` writes it, where
+    `newline` is the line break and indent of the value's own line.
+
+    The scalar rules are `json`'s own: strings through its ASCII escaper,
+    ints and floats by their `repr`, with NaN and the infinities spelled as
+    `json` spells them. Tuples are written as lists, and any other record
+    as the dict of its `vars`.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            out.append("NaN")
+        elif value == math.inf:
+            out.append("Infinity")
+        elif value == -math.inf:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        items = value if isinstance(value, dict) else vars(value)
+        if not items:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in items.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")

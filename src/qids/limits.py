@@ -6,11 +6,15 @@ vector (built by the search only when its draw falls back to it) and
 statevector allocation all refuse to grow past a cap. The marking walk's
 runs are not held to the cap itself: interleaved marks weigh up to about 8
 bytes a sequence, so one walk may build about 8 times the cap in bytes. The
-marking cache holds runs and the start strings of its keys, at most the cap
-in bytes of them, plus about 500 bytes of bookkeeping an entry; it holds the
-systems themselves only weakly. The same cap bounds classical iterative
-deepening's node expansions and the halt demo's step trace. The default
-(2**22) can be overridden with the QIDS_SIM_CAP environment variable.
+marking cache holds runs, the start strings of its keys and the frontiers
+of its chains, at most the cap in bytes of them, plus about 500 bytes of
+bookkeeping an entry; it holds the systems themselves only weakly. A chain
+starts at depth 0 and carries one frontier, the live nodes of its deepest
+depth, at `sys.getsizeof(memory) + 16` bytes a node; a frontier that passes
+the cap is dropped, and later depths walk from the root. The same cap
+bounds classical iterative deepening's node expansions and the halt demo's
+step trace. The default (2**22) can be overridden with the QIDS_SIM_CAP
+environment variable.
 """
 
 from __future__ import annotations

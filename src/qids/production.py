@@ -340,6 +340,70 @@ class MarkedRuns:
                 + sum(sys.getsizeof(view.obj) for view in views))
 
 
+class _Frontier:
+    """A chain's live, non-halting nodes of one depth: their indices and memories
+    in index order, with the tables that extend them by a level, built once
+    per chain. `nbytes` counts `sys.getsizeof(memory) + 16` a node, the memory
+    plus its slots in the index array and the memory list."""
+
+    __slots__ = ("indices", "memories", "nbytes", "pairs", "is_goal", "max_len")
+
+    def __init__(self, system: ProductionSystem, start: str, runs: MarkedRuns):
+        """Depth 0's frontier, whose `runs` mark the start if it is a goal."""
+        self.pairs = [(rule.precondition, rule.action) for rule in system.rules]
+        self.is_goal = _goal_test(system)
+        self.max_len = system.max_memory_len
+        live = runs.k == 0
+        self.indices = array("q", [0] * live)
+        self.memories = [start] * live
+        self.nbytes = live * (sys.getsizeof(start) + 16)
+
+    def extend(self, runs: MarkedRuns, b: int, n: int, cap: int) -> MarkedRuns:
+        """The n = b**d sequences' runs from depth d - 1's `runs`, moving the
+        frontier down to depth d; past `cap` bytes it is dropped (memories None).
+
+        A marked sequence's children are all marked and a live node's halting
+        children are runs of span 1, so the runs of depth d are those of
+        d - 1 scaled by b, merged in index order with one run per halting
+        child. The live children are the new frontier.
+        """
+        pairs, is_goal, max_len = self.pairs, self.is_goal, self.max_len
+        parents, memories = self.indices, self.memories
+        indices: array | None = array("q")
+        children: list[str] | None = []
+        nbytes = 0
+
+        def fill(add: Callable[[int, int], None]) -> None:
+            nonlocal indices, children, nbytes
+            old = iter(runs)
+            run = next(old, None)
+            for parent, memory in zip(parents, memories):
+                while run is not None and run[0] < parent:
+                    add(run[0] * b, run[1] * b)
+                    run = next(old, None)
+                base = parent * b
+                for pre, post in pairs:
+                    if pre in memory:
+                        child = memory.replace(pre, post, 1)
+                        if len(child) <= max_len:
+                            if is_goal(child):
+                                add(base, 1)
+                            elif children is not None:
+                                indices.append(base)
+                                children.append(child)
+                                nbytes += sys.getsizeof(child) + 16
+                                if nbytes > cap:
+                                    indices = children = None
+                    base += 1
+            while run is not None:
+                add(run[0] * b, run[1] * b)
+                run = next(old, None)
+
+        extended = MarkedRuns.filled(n, fill)
+        self.indices, self.memories, self.nbytes = indices, children, nbytes
+        return extended
+
+
 def _byte_bounded_cache(walk):
     """Memoise `walk(system, start, d)` on entries of at most `sim_cap()` bytes in all.
 
@@ -350,13 +414,26 @@ def _byte_bounded_cache(walk):
     return the very system asked about, and an entry whose system died is
     dropped when its id comes back on another. An entry's size is
     `sys.getsizeof` of its `MarkedRuns`, arrays included, plus that of the
-    start string its key holds: about 16 bytes a run, so interleaved marks
-    (up to n/2 runs) can weigh 8 bytes a sequence. An entry's tuples, weak
-    reference and dict slot, about 500 bytes, are not counted. Before an
-    entry is inserted, the oldest entries are dropped until it fits; one
-    that alone exceeds the cap is returned without being kept.
+    start string its key holds and the bytes of its frontier, if any: about
+    16 bytes a run, so interleaved marks (up to n/2 runs) can weigh 8 bytes
+    a sequence. An entry's tuples, weak reference and dict slot, about 500
+    bytes, are not counted. Before an entry is inserted, the oldest entries
+    are dropped until it fits; one that alone exceeds the cap is returned
+    without being kept.
+
+    Depths marked in order share one pass. A chain starts at depth 0 when a
+    goal is in reach there: its entry keeps the frontier `[start]`, or none
+    if the start is a goal. A miss at depth d whose depth d - 1 entry holds
+    the same live system and a frontier extends that frontier by one level
+    instead of walking from the root, and the frontier moves to the new
+    entry, so a chain holds one; an entry whose system died is never
+    extended. A root walk at d > 0 keeps no frontier. A frontier that
+    passes the cap is dropped as it grows; the chain ends there and later
+    depths walk from the root. Every miss checks the path space against
+    the cap.
     """
-    entries: dict[tuple[int, str, int], tuple[weakref.ref, MarkedRuns, int]] = {}
+    entries: dict[tuple[int, str, int],
+                  tuple[weakref.ref, MarkedRuns, int, _Frontier | None]] = {}
     held = 0
 
     @functools.wraps(walk)
@@ -368,13 +445,31 @@ def _byte_bounded_cache(walk):
             if entry[0]() is system:
                 return entry[1]
             held -= entries.pop(key)[2]
-        runs = walk(system, start, d)
-        size = sys.getsizeof(runs) + sys.getsizeof(start)
         cap = sim_cap()
+        parent_key = (id(system), start, d - 1)
+        parent = entries.get(parent_key) if d else None
+        frontier = parent[3] if parent is not None and parent[0]() is system else None
+        if frontier is not None:
+            b = system.branching_factor
+            n = b**d
+            check_size(n, f"path space b={b} d={d}")
+            moved = frontier.nbytes
+            runs = frontier.extend(parent[1], b, n, cap)
+            entries[parent_key] = (parent[0], parent[1], parent[2] - moved, None)
+            held -= moved
+            if frontier.memories is None:
+                frontier = None
+        else:
+            runs = walk(system, start, d)
+            if d == 0 and _goal_in_reach(system, len(start), 0):
+                frontier = _Frontier(system, start, runs)
+        size = sys.getsizeof(runs) + sys.getsizeof(start)
+        if frontier is not None:
+            size += frontier.nbytes
         if size <= cap:
             while held + size > cap:
                 held -= entries.pop(next(iter(entries)))[2]
-            entries[key] = (weakref.ref(system), runs, size)
+            entries[key] = (weakref.ref(system), runs, size, frontier)
             held += size
         return runs
 

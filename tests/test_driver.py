@@ -1,6 +1,8 @@
 """The deepening search loop, its accounting, and reports."""
 
+import gc
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,12 +12,13 @@ from hypothesis import strategies as st
 
 from conftest import make_system, reference_search, runs_of, systems
 from qids import driver
-from qids.driver import (QidConfig, amplified_probabilities, amplified_weights,
+from qids.driver import (QidConfig, SearchReport, amplified_probabilities, amplified_weights,
                          cumulative_calls, depth_rng, measure, optimal_iterations,
                          predicted_success_exact, quantum_iterative_deepening, report_to_json,
                          report_within_call_budget, vector_draw, within_call_budget)
 from qids.errors import InputError, NormDrift, SizeLimit
-from qids.production import MAX_WALK_DEPTH, MarkedRuns, execute_sequence, marked_vector
+from qids.production import (MAX_WALK_DEPTH, MarkedRuns, classical_ids, execute_sequence,
+                             marked_vector)
 from qids.statevector import bitmap
 
 
@@ -76,6 +79,66 @@ def test_writing_without_volatile_fields_leaves_the_report_alone(fig_tree):
     assert report.wall_time_s == wall and "wall_time_s" not in first
     volatile = report_to_json(report)
     assert '"wall_time_s"' in volatile and '"timestamp"' in volatile
+
+
+def json_dumps_report(report, include_volatile):
+    """The report as `json.dumps(..., indent=2, default=vars)` writes it: the
+    writer's reference, kept only here."""
+    data = {"schema": report.SCHEMA, "outcome": report.outcome, **vars(report)}
+    if include_volatile:
+        data["timestamp"] = driver.timestamp()
+    else:
+        data.pop("wall_time_s", None)
+    return json.dumps(data, indent=2, default=vars) + "\n"
+
+
+def assert_written_as_json_dumps(report, monkeypatch):
+    monkeypatch.setattr(driver, "timestamp", lambda: "2026-01-02T03:04:05+0000")
+    for include_volatile in (True, False):
+        assert (report_to_json(report, include_volatile)
+                == json_dumps_report(report, include_volatile))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_amplified_reports_are_written_as_json_dumps_writes_them(seed, fig_tree, monkeypatch):
+    """Found and cap_exceeded reports, measured and skipped depths, both counting modes."""
+    unsatisfiable = make_system([("A", "B")], start="A", goals=("C",))
+    reports = [run(fig_tree, "E", seed), run(fig_tree, "E", seed, depth_cap=2),
+               run(fig_tree, "E", seed, counting_mode="assume_one", iterate_policy="faithful"),
+               run(unsatisfiable, "A", seed, depth_cap=3, skip_empty_depths=False)]
+    assert [r.outcome for r in reports] == ["found", "cap_exceeded", "found", "cap_exceeded"]
+    for report in reports:
+        assert_written_as_json_dumps(report, monkeypatch)
+
+
+def test_classical_reports_are_written_as_json_dumps_writes_them(fig_tree, monkeypatch):
+    for depth_cap in (2, 3):
+        assert_written_as_json_dumps(classical_ids(fig_tree, "E", depth_cap), monkeypatch)
+
+
+@pytest.mark.parametrize("wall", [0.0, 1e-300, 1e16, math.nan, math.inf, -math.inf, 0.1])
+def test_a_hand_built_report_is_written_as_json_dumps_writes_it(wall, monkeypatch):
+    """No depth rows, no witness, a goal state that needs escaping and floats that
+    `json` spells in its own way."""
+    goal = 'q"uo\\te\n\t\x00\x1f\x7f é ☃ 😀'
+    report = SearchReport(False, None, None, goal, None, [], 0, 5, QidConfig(seed=5), wall)
+    assert_written_as_json_dumps(report, monkeypatch)
+    record = driver.DepthRecord(0, 1, 0, 0, 0, wall, True, None, (), None)
+    report = SearchReport(True, 0, (), goal, 0, [record], 0, 5, QidConfig(seed=5), wall)
+    assert_written_as_json_dumps(report, monkeypatch)
+
+
+def test_writing_a_report_leaves_nothing_for_the_cyclic_gc(fig_tree):
+    report = run(fig_tree, "E", seed=77)
+    gc.collect()
+    gc.disable()
+    try:
+        report_to_json(report)
+        report_to_json(report, include_volatile=False)
+        report_to_json(classical_ids(fig_tree, "E", 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_depth_rng_split_is_stable():

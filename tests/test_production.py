@@ -17,6 +17,7 @@ from conftest import (assert_read_only, enumerate_paths, make_system, marks_of, 
                       random_system, run_python, runs_of, sequence_to_index, systems,
                       tree_system)
 from qids import production, statevector
+from qids.driver import QidConfig, quantum_iterative_deepening
 from qids.errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
 from qids.production import (MAX_WALK_DEPTH, Alphabet, ProductionSystem, Rule,
                              classical_ids, deterministic_trace, execute_sequence,
@@ -397,6 +398,212 @@ def test_marking_cache_frees_dropped_systems_and_counts_start_strings(monkeypatc
     assert grown <= 2 * cap
 
 
+# --- one marking pass: frontier chains ------------------------------------------
+
+@pytest.fixture
+def chain_log(monkeypatch):
+    """What the marking cache does with frontiers from here on: ("start", bytes) for
+    each chain started at depth 0 and ("extend", d, bytes, cap, dropped) for each
+    depth d reached by extending one."""
+    log = []
+
+    class LoggedFrontier(production._Frontier):
+        __slots__ = ()
+
+        def __init__(self, system, start, runs):
+            super().__init__(system, start, runs)
+            log.append(("start", self.nbytes))
+
+        def extend(self, runs, b, n, cap):
+            extended = super().extend(runs, b, n, cap)
+            depth = next(d for d in itertools.count() if b**d == n)
+            log.append(("extend", depth, self.nbytes, cap, self.memories is None))
+            return extended
+
+    monkeypatch.setattr(production, "_Frontier", LoggedFrontier)
+    marked_vector.cache_clear()
+    yield log
+    marked_vector.cache_clear()
+
+
+def no_double_b_system():
+    """A binary word tree under a start of two markers, with the substring goal "bb":
+    the goal is in reach at depth 0, the live words are those without "bb", so the
+    frontier grows as the Fibonacci numbers, and every live word ending in b has a
+    halting child."""
+    return make_system([("E", "aE"), ("E", "bE")], start="EE", goals=("bb",), alphabet="abE",
+                       max_len=40, goal_match="substring")
+
+
+def assert_chain_matches_the_reference(system, start, depths, predicate_up_to=6):
+    """Each depth's cached runs are the root walk's, and the halting predicate's
+    where `b**d` is small."""
+    b = system.branching_factor
+    for d in depths:
+        runs = marked_vector(system, start, d)
+        assert_read_only(runs)
+        assert list(runs) == list(marked_vector.__wrapped__(system, start, d)), d
+        assert runs.n == b**d
+        if d <= predicate_up_to:
+            assert marks_of(runs) == [
+                bool(halting_predicate(system, start, index_to_sequence(i, b, d)))
+                for i in range(b**d)], d
+
+
+def extended_depths(log):
+    return [entry[1] for entry in log if entry[0] == "extend"]
+
+
+# overflow at a memory of 3 or 6 symbols kills subtrees and frontier nodes alike
+@settings(max_examples=300, deadline=None)
+@given(case=systems(max_lens=(3, 6)))
+def test_chained_marking_matches_root_walks_and_the_predicate(case):
+    """Depths 0..D marked in order extend one frontier wherever a goal is in reach at
+    depth 0, and every depth's runs are the root walk's and the halting predicate's."""
+    system, start = case
+    marked_vector.cache_clear()
+    assert_chain_matches_the_reference(system, start,
+                                       range((6 if system.branching_factor == 2 else 4) + 1))
+
+
+def test_a_chain_from_a_goal_start_marks_every_sequence(chain_log):
+    system = make_system([("A", "AB"), ("B", "C")], start="A", goals=("A",), max_len=8,
+                         goal_match="substring")
+    assert_chain_matches_the_reference(system, "A", range(7))
+    assert chain_log[0] == ("start", 0)
+    assert extended_depths(chain_log) == [1, 2, 3, 4, 5, 6]
+    assert all(marked_vector(system, "A", d).k == 2**d for d in range(7))
+
+
+def test_a_chain_extends_every_depth_in_order(chain_log):
+    """Depth d's frontier holds the F(d + 2) words of length d without "bb", each
+    counted at its memory's `sys.getsizeof` plus 16 bytes."""
+    system = no_double_b_system()
+    assert_chain_matches_the_reference(system, "EE", range(13), predicate_up_to=8)
+    assert extended_depths(chain_log) == list(range(1, 13))
+    live = [1, 2]
+    while len(live) < 13:
+        live.append(live[-1] + live[-2])
+    assert [nbytes for *_, nbytes, _, _ in chain_log[1:]] == [
+        live[d] * (sys.getsizeof("a" * d + "EE") + 16) for d in range(1, 13)]
+    assert not any(dropped for *_, dropped in chain_log[1:])
+
+
+def test_a_small_cap_cuts_the_chain_and_later_depths_walk_from_the_root(chain_log,
+                                                                          monkeypatch):
+    """Past the cap the frontier is dropped as it grows: the chain ends at that depth,
+    and deeper depths walk from the root with the same runs."""
+    cap = 2**12
+    monkeypatch.setenv("QIDS_SIM_CAP", str(cap))
+    system = no_double_b_system()
+    assert_chain_matches_the_reference(system, "EE", range(13), predicate_up_to=8)
+    extensions = [entry for entry in chain_log if entry[0] == "extend"]
+    cut = extensions[-1][1]
+    assert extended_depths(chain_log) == list(range(1, cut + 1)) and 1 < cut < 12
+    assert extensions[-1][-1] and not any(entry[-1] for entry in extensions[:-1])
+    assert all(nbytes <= cap for _, _, nbytes, _, _ in extensions[:-1])
+    assert extensions[-1][2] <= cap + sys.getsizeof("a" * cut + "EE") + 16
+
+
+def test_a_depth_too_big_to_keep_takes_the_frontier_with_it(chain_log, monkeypatch):
+    """Under a cap that depth 8's frontier fits but its entry does not, depth 8 is
+    returned without being kept, and the frontier has left depth 7's entry: asking
+    for depth 8 again walks from the root."""
+    system = no_double_b_system()
+    assert_chain_matches_the_reference(system, "EE", range(9))
+    monkeypatch.setenv("QIDS_SIM_CAP", str(chain_log[-1][2]))
+    marked_vector.cache_clear()
+    chain_log.clear()
+    assert_chain_matches_the_reference(system, "EE", range(8))
+    extended = marked_vector(system, "EE", 8)
+    assert extended_depths(chain_log) == list(range(1, 9)) and not chain_log[-1][-1]
+    chain_log.clear()
+    assert marked_vector(system, "EE", 8) is not extended
+    assert_chain_matches_the_reference(system, "EE", [8, 7])
+    assert chain_log == []
+
+
+def test_an_entry_evicted_mid_chain_ends_the_chain(chain_log, monkeypatch):
+    """Once the entries of a chain are evicted, the next depth walks from the root and
+    keeps no frontier; a chain starts again only from depth 0."""
+    system = no_double_b_system()
+    assert_chain_matches_the_reference(system, "EE", range(4))
+    other = tree_system(3)
+    room = sys.getsizeof(marked_vector.__wrapped__(other, "E", 0)) + sys.getsizeof("E")
+    monkeypatch.setenv("QIDS_SIM_CAP", str(room))
+    marked_vector(other, "E", 0)  # fits only once every older entry is evicted
+    monkeypatch.delenv("QIDS_SIM_CAP")
+    chain_log.clear()
+    assert_chain_matches_the_reference(system, "EE", range(4, 7))
+    assert chain_log == []
+    assert_chain_matches_the_reference(system, "EE", range(3))
+    assert chain_log[0][0] == "start" and extended_depths(chain_log) == [1, 2]
+
+
+def test_a_chain_of_a_dropped_system_is_not_extended_for_one_that_reuses_its_id(
+        chain_log, monkeypatch):
+    """Every system gets the same id, as a new system can get a dropped one's: the
+    dropped system's chain is neither returned nor extended for the new one."""
+    monkeypatch.setattr(production, "id", lambda system: 7, raising=False)
+    dropped = no_double_b_system()
+    assert_chain_matches_the_reference(dropped, "EE", range(3))
+    gone = weakref.ref(dropped)
+    del dropped
+    assert gone() is None
+    chain_log.clear()
+    system = make_system([("E", "bE"), ("E", "aE")], start="EE", goals=("aa",), alphabet="abE",
+                         max_len=40, goal_match="substring")
+    assert_chain_matches_the_reference(system, "EE", [3, 0, 1, 2, 4])
+    assert chain_log[0][0] == "start" and extended_depths(chain_log) == [1, 2]
+
+
+def test_depths_requested_out_of_order_extend_only_from_a_kept_frontier(chain_log):
+    system = no_double_b_system()
+    assert_chain_matches_the_reference(system, "EE", [3, 0, 2, 1, 2, 4, 3, 5, 0, 1, 6])
+    assert [entry[0] for entry in chain_log] == ["start", "extend"]
+    assert extended_depths(chain_log) == [1]
+    marked_vector.cache_clear()
+    chain_log.clear()
+    assert_chain_matches_the_reference(system, "EE", [0, 1, 2, 1, 0, 3, 2, 4])
+    assert extended_depths(chain_log) == [1, 2, 3, 4]
+
+
+def test_a_tree_search_keeps_no_frontier_and_a_chain_none_past_the_cap(chain_log,
+                                                                        monkeypatch):
+    """tree_search's goal is out of reach at depth 0, so its root walk at 16 keeps no
+    frontier: a depth-16 frontier of 65,536 leaves would need 1 MB for its index and
+    list slots alone. A chain holds at most the cap, as the cache's other entries do."""
+    config = QidConfig(seed=3, depth_cap=17)
+    tree = tree_system(16, "ab" * 8)
+    quantum_iterative_deepening(tree, "E", config)  # warm every lazy import and cache
+    marked_vector.cache_clear()
+    tracemalloc.start()
+    try:
+        report = quantum_iterative_deepening(tree, "E", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.found and report.measured_depth == 16
+    assert chain_log == [] and peak < 2**16 * 16
+
+    cap = 2**14
+    monkeypatch.setenv("QIDS_SIM_CAP", str(cap))
+    marked_vector.cache_clear()
+    system = no_double_b_system()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for d in range(15):
+            marked_vector(system, "EE", d)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    kept = [entry for entry in chain_log if entry[0] == "extend" and not entry[-1]]
+    assert kept and all(nbytes <= cap for _, _, nbytes, _, _ in kept)
+    assert chain_log[-1][-1]
+    assert held <= 2 * cap
+
+
 @st.composite
 def bitmaps(draw):
     """A mark table over 1 to 300 sequences: none, all, alternating or random marks."""
@@ -448,16 +655,19 @@ def test_statevector_binds_nothing_from_driver():
 
 
 def test_walks_leave_nothing_for_the_cyclic_gc():
-    """Cleared runs are freed at once, and a classical search leaves no cycle."""
+    """Cleared runs are freed at once, those a chain extended and its frontier too,
+    and a classical search leaves no cycle."""
     marked_vector.cache_clear()
     system = tree_system(8, "ab" * 4)
+    chained = no_double_b_system()
     gc.collect()
     gc.disable()
     try:
         runs = weakref.ref(marked_vector(system, "E", 8))
-        assert runs() is not None
+        extended = [weakref.ref(marked_vector(chained, "EE", d)) for d in range(9)]
+        assert runs() is not None and all(ref() is not None for ref in extended)
         marked_vector.cache_clear()
-        assert runs() is None
+        assert runs() is None and all(ref() is None for ref in extended)
         classical_ids(system, "E", 8)
         assert gc.collect() == 0
     finally:
