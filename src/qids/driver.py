@@ -26,11 +26,30 @@ flat vector (`amplified_probabilities`) draws from that same double
 (`vector_draw`, the reference draw), so seeded reports match the dense
 engine's: `verify.check_engine_agreement` ties that vector to
 `statevector.amplified_state`, the reference that runs the iterate
-itself. The vector, and the bitmap it is spread from, are built only when
-the double falls within rounding distance of a step edge, to draw from it
-with `vector_draw`. `verify.check_draw_agreement` holds `measure` to
-`vector_draw`, so a numpy whose `choice` draws differently fails the gate
-instead of silently changing seeded reports.
+itself. Only when the double falls within rounding distance of a step edge
+is the vector built, as a plain list, by `vector_index`, which repeats
+numpy's pairwise sum, sequential cumsum and search over it operation for
+operation. `verify.check_draw_agreement` holds `measure` and
+`vector_index` to `vector_draw`, so a numpy whose `choice` draws
+differently fails the gate instead of silently changing seeded reports.
+
+The double is `depth_uniform(seed, depth)`, computed here without numpy.
+Its reference is numpy's `default_rng(SeedSequence(seed, spawn_key=(depth,)))`
+(`depth_rng`), whose first `random()` it equals bit for bit by following
+numpy's algorithm: the seed and the depth are split into 32-bit
+little-endian words, the seed's padded with zeros to four; SeedSequence's
+`mix_entropy` hashes them into a pool of four words, with hash constants
+that depend only on a call's position and are computed once per word
+count; `generate_state(4, uint64)` hashes the pool into `initstate` and
+`initseq`; PCG64 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation", 2014) starts
+from state 0 with increment `initseq << 1 | 1`, steps, adds `initstate`
+and steps again; one more step's XSL-RR output x gives `(x >> 11) * 2**-53`.
+`verify.check_draw_agreement` compares the two on every (seed, depth) the
+gate draws with and on a grid of seeds and depths past 2**32, so a numpy
+whose streams change fails the gate too. The search itself loads no numpy;
+in this module only the references `depth_rng`, `amplified_probabilities`
+and `vector_draw` (through `statevector`) do.
 
 Rebuilding makes the cost of re-scanning shallow levels geometric: with the
 optimal iterate policy the cumulative oracle-call count through depth d
@@ -49,24 +68,27 @@ library's indenting encoder leaves for the garbage collector.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
+import operator
 import sys
 import time
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import ClassVar
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar
 
 from .errors import InputError, KZero, SizeLimit
-from .limits import check_float_range, check_size, register_fits, sim_cap
+from .limits import check_float_range, check_size, check_total, register_fits, sim_cap
 from .production import (ClassicalSearchResult, MarkedRuns, ProductionSystem, RuleSequence,
                          check_start, check_walk_depth, execute_sequence, index_to_sequence,
                          marked_vector)
-from .statevector import bitmap, check_total, sample_index
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -141,7 +163,85 @@ class SearchReport:
 
 def depth_rng(master_seed: int, depth: int) -> np.random.Generator:
     """Per-depth generator: SeedSequence(master_seed, spawn_key=(depth,))."""
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(depth,)))
+
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# seeding's second step and the draw's step together: a state s with increment c
+# becomes s * A**2 + c * (A + 1), A the multiplier
+_PCG_MULT2, _PCG_MULT1 = _PCG_MULT * _PCG_MULT & _M128, _PCG_MULT + 1
+
+
+def _hash_keys(init: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+    """SeedSequence's hash constants for `count` calls: call j xors h_j into
+    its word and multiplies by h_(j+1), where h_0 = init and h_(j+1) = h_j * mult."""
+    keys, h = [], init
+    for _ in range(count):
+        keys.append((h, h * mult & _M32))
+        h = keys[-1][1]
+    return tuple(keys)
+
+
+_STATE_KEYS = _hash_keys(0x8B51F9DD, 0x58F38DED, 8)
+
+
+@functools.lru_cache(maxsize=8)  # a seed below 2**128 and a depth below 2**32 make 5 words
+def _mix_schedule(n_words: int) -> tuple[tuple, tuple]:
+    """`mix_entropy`'s constants for n_words >= 4 entropy words: the keys that
+    hash the first four words into the pool, then its mixes in order as
+    (source, destination, key) with the pool in slots 0-3 and the words past
+    the fourth in slots 4 on: the pool into itself, then each later word
+    into every pool word."""
+    keys = _hash_keys(0x43B0D7E5, 0x931E8875, 4 * n_words)
+    mixes = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    mixes += [(src, dst) for src in range(4, n_words) for dst in range(4)]
+    return keys[:4], tuple(mix + key for mix, key in zip(mixes, keys[4:]))
+
+
+def _words(n: int) -> list[int]:
+    """n >= 0 as 32-bit words, least significant first; [0] for 0."""
+    words = [n & _M32]
+    n >>= 32
+    while n:
+        words.append(n & _M32)
+        n >>= 32
+    return words
+
+
+def depth_uniform(seed: int, depth: int) -> float:
+    """The depth's one uniform double: `depth_rng(seed, depth).random()` without numpy.
+
+    The steps are numpy's own, as the module docstring lists them; the
+    hash and mix constants are SeedSequence's, the multiplier PCG64's.
+    """
+    entropy = _words(seed)
+    entropy += [0] * (4 - len(entropy))
+    entropy += _words(depth)
+    first, mixes = _mix_schedule(len(entropy))
+    pool = []
+    for word, (x, m) in zip(entropy, first):
+        word = (word ^ x) * m & _M32
+        pool.append(word ^ word >> 16)
+    pool += entropy[4:]
+    for src, dst, x, m in mixes:
+        h = (pool[src] ^ x) * m & _M32
+        mixed = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & _M32
+        pool[dst] = mixed ^ mixed >> 16
+    s = []
+    for word, (x, m) in zip(pool[:4] * 2, _STATE_KEYS):
+        word = (word ^ x) * m & _M32
+        s.append(word ^ word >> 16)
+    # generate_state's words pair into uint64s low word first, and each
+    # 128-bit seed value is its first uint64 << 64 | its second
+    initstate = s[0] << 64 | s[1] << 96 | s[2] | s[3] << 32
+    inc = (s[4] << 64 | s[5] << 96 | s[6] | s[7] << 32) << 1 & _M128 | 1
+    state = ((inc + initstate) * _PCG_MULT2 + inc * _PCG_MULT1) & _M128
+    folded, rot = (state >> 64 ^ state) & _M64, state >> 122
+    return (((folded >> rot | folded << (-rot & 63)) & _M64) >> 11) * 2.0**-53
 
 
 def default_depth_cap(b: int) -> int:
@@ -233,6 +333,8 @@ def amplified_probabilities(marks: np.ndarray, m: int) -> np.ndarray:
     Each entry is one of the two `amplified_weights` of the marks' count, in
     the flat layout p*2 + h of the dense register.
     """
+    import numpy as np
+
     p_marked, p_unmarked = amplified_weights(len(marks), int(np.count_nonzero(marks)), m)
     check_size(2 * len(marks), "probability vector")
     return np.repeat(np.where(marks, p_marked, p_unmarked), 2)
@@ -241,6 +343,8 @@ def amplified_probabilities(marks: np.ndarray, m: int) -> np.ndarray:
 def vector_draw(probs: np.ndarray, seed: int, depth: int) -> int:
     """The sequence that `rng.choice` over the flat vector `probs` draws with the
     depth's generator: the reference draw every seeded measurement is held to."""
+    from .statevector import sample_index
+
     return sample_index(probs, depth_rng(seed, depth)) // 2
 
 
@@ -268,6 +372,58 @@ def _candidate(runs: MarkedRuns, p_marked: float, p_unmarked: float, t: float) -
     if p_unmarked > 0:
         return 2 * first + int((t - base) // p_unmarked)
     return None
+
+
+def _pairwise_sum(values: list[float], lo: int, n: int) -> float:
+    """values[lo:lo + n] summed as numpy sums a contiguous float64 array (`probs.sum()`).
+
+    numpy's pairwise summation: below 8 entries one running sum; up to 128,
+    eight running sums over the strided entries, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder
+    added in turn; past 128, the two halves, split at a multiple of 8, summed
+    apart and added. `functools.reduce` adds in order, as numpy's loop does.
+    """
+    if n < 8:
+        return functools.reduce(operator.add, values[lo:lo + n], 0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [functools.reduce(operator.add, values[lo + j + 8:end:8], values[lo + j])
+             for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return functools.reduce(operator.add, values[end:lo + n], head)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
+
+
+def vector_index(runs: MarkedRuns, p_marked: float, p_unmarked: float, u: float) -> int:
+    """The sequence `vector_draw` draws from `amplified_probabilities(bitmap(runs), m)`
+    when the depth's generator gives the double u, computed without numpy.
+
+    `sample_index` sums the flat vector (`_pairwise_sum`), checks the sum
+    (`check_total`) and calls `rng.choice(2N, p=probs / total)`, which takes
+    the sequential cumsum of the divided entries, divides it by its last
+    entry and returns the first flat index whose entry exceeds u. Each step
+    here is the same IEEE operation in the same order, so the index is
+    numpy's bit for bit; the draw tests compare the two at every step edge.
+    """
+    n_paths = runs.n
+    check_size(2 * n_paths, "probability vector")
+
+    def flat(marked: float, unmarked: float) -> list[float]:
+        entries, end = [], 0
+        for start, span, _ in runs:
+            entries += [unmarked] * (2 * (start - end))
+            entries += [marked] * (2 * span)
+            end = start + span
+        entries += [unmarked] * (2 * (n_paths - end))
+        return entries
+
+    total = _pairwise_sum(flat(p_marked, p_unmarked), 0, 2 * n_paths)
+    check_total(total)
+    cdf = array("d", itertools.accumulate(flat(p_marked / total, p_unmarked / total)))
+    last = cdf[-1]
+    return bisect_right(cdf, u, key=lambda c: c / last) // 2
 
 
 def _inverse_cdf(runs: MarkedRuns, p_marked: float, p_unmarked: float, total: float,
@@ -319,7 +475,7 @@ def measure(runs: MarkedRuns, m: int, seed: int, depth: int) -> tuple[int, bool,
     state: the index is the one `vector_draw` draws from
     `amplified_probabilities(bitmap(runs), m)`. The closed-form total is
     checked for NormDrift before the depth's generator is touched; the
-    bitmap and the probability vector are built only when the drawn double
+    probability vector is built (`vector_index`) only when the drawn double
     sits on a step edge. Either way the runs are searched for the index
     once. Logs the round as one INFO line.
     """
@@ -327,12 +483,13 @@ def measure(runs: MarkedRuns, m: int, seed: int, depth: int) -> tuple[int, bool,
     p_marked, p_unmarked = amplified_weights(n_paths, k, m)
     total = 2 * (k * p_marked + (n_paths - k) * p_unmarked)
     check_total(total)
-    found = _inverse_cdf(runs, p_marked, p_unmarked, total, depth_rng(seed, depth).random())
+    u = depth_uniform(seed, depth)
+    found = _inverse_cdf(runs, p_marked, p_unmarked, total, u)
     fast = found is not None
     if fast:
         index, marked = found
     else:
-        index = vector_draw(amplified_probabilities(bitmap(runs), m), seed, depth)
+        index = vector_index(runs, p_marked, p_unmarked, u)
         marked = runs.locate(index)[1]
     log.info("depth=%d k=%d m=%d index=%d halting=%s draw=%s", depth, k, m, index, marked,
              "inverse-cdf" if fast else "vector")

@@ -1,4 +1,4 @@
-"""Desk-scale resource caps.
+"""Desk-scale resource caps, and the norm tolerance of a Born draw.
 
 Dense amplitude storage means memory scales linearly with the number of
 basis states, so the marking walk's path space, the closed-form probability
@@ -15,16 +15,23 @@ the cap is dropped, and later depths walk from the root. The same cap
 bounds classical iterative deepening's node expansions and the halt demo's
 step trace. The default (2**22) can be overridden with the QIDS_SIM_CAP
 environment variable.
+
+`check_total` holds a Born total, the squared norm of the state a draw
+samples, to MEASURE_NORM_TOL; the closed-form search and the dense
+reference both check it before they draw, and it lives here because it
+needs no numpy.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
-from .errors import InputError, SizeLimit
+from .errors import InputError, NormDrift, SizeLimit
 
 DEFAULT_SIM_CAP = 2**22
+MEASURE_NORM_TOL = 1e-6
 
 _ENV_VAR = "QIDS_SIM_CAP"
 
@@ -43,11 +50,12 @@ def sim_cap() -> int:
     return value
 
 
-def check_size(count: int, what: str) -> None:
-    """Raise SizeLimit if `count` objects of kind `what` exceed the cap."""
+def check_size(count: int, what: str) -> int:
+    """Raise SizeLimit if `count` objects of kind `what` exceed the cap; return the cap."""
     cap = sim_cap()
     if count > cap:
         raise SizeLimit(f"{what} needs {count} entries, over the cap of {cap}")
+    return cap
 
 
 def register_fits(b: int, d: int) -> bool:
@@ -62,3 +70,10 @@ def check_float_range(b: int, d: int) -> None:
     # 2**1024 exceeds the largest float, so the clamped power settles any d
     if b >= 1 and b ** min(d, 1024) > sys.float_info.max:
         raise InputError(f"b**d = {b}**{d} is beyond floating-point range")
+
+
+def check_total(total: float) -> None:
+    """Raise NormDrift if the norm sqrt(total) of a Born total strays past MEASURE_NORM_TOL."""
+    norm = math.sqrt(total)
+    if abs(norm - 1.0) > MEASURE_NORM_TOL:
+        raise NormDrift(f"state norm = {norm:.9f} drifted beyond {MEASURE_NORM_TOL}")

@@ -335,9 +335,9 @@ class MarkedRuns:
         return before[r + 1], False
 
     def __sizeof__(self) -> int:
-        views = (self._starts, self._before)
-        return (object.__sizeof__(self) + sum(sys.getsizeof(view) for view in views)
-                + sum(sys.getsizeof(view.obj) for view in views))
+        starts, before = self._starts, self._before
+        return (object.__sizeof__(self) + sys.getsizeof(starts) + sys.getsizeof(before)
+                + sys.getsizeof(starts.obj) + sys.getsizeof(before.obj))
 
 
 class _Frontier:
@@ -430,7 +430,8 @@ def _byte_bounded_cache(walk):
     extended. A root walk at d > 0 keeps no frontier. A frontier that
     passes the cap is dropped as it grows; the chain ends there and later
     depths walk from the root. Every miss checks the path space against
-    the cap.
+    the cap, which it reads once for that check and its byte budget; the
+    walk itself does not check it.
     """
     entries: dict[tuple[int, str, int],
                   tuple[weakref.ref, MarkedRuns, int, _Frontier | None]] = {}
@@ -445,14 +446,13 @@ def _byte_bounded_cache(walk):
             if entry[0]() is system:
                 return entry[1]
             held -= entries.pop(key)[2]
-        cap = sim_cap()
+        b = system.branching_factor
+        n = b**d
+        cap = check_size(n, f"path space b={b} d={d}")
         parent_key = (id(system), start, d - 1)
         parent = entries.get(parent_key) if d else None
         frontier = parent[3] if parent is not None and parent[0]() is system else None
         if frontier is not None:
-            b = system.branching_factor
-            n = b**d
-            check_size(n, f"path space b={b} d={d}")
             moved = frontier.nbytes
             runs = frontier.extend(parent[1], b, n, cap)
             entries[parent_key] = (parent[0], parent[1], parent[2] - moved, None)
@@ -507,7 +507,8 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> MarkedRuns:
     and the start string (once per walk) are checked, no step needs an
     alphabet check; this holds for every walk in this module. The runs are
     read-only, so the cache hands the same object to every caller
-    (`marked_vector.cache_clear()` empties the cache).
+    (`marked_vector.cache_clear()` empties the cache), and the cache checks
+    the path space `b**d` against `QIDS_SIM_CAP` before it walks.
 
     The walk is skipped, leaving no runs, when no goal's length is in reach.
     Each rewrite changes the length by a rule step
@@ -520,7 +521,6 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> MarkedRuns:
     """
     b = system.branching_factor
     n = b**d
-    check_size(n, f"path space b={b} d={d}")
     system.alphabet.check_string(start, "start state")
     pairs = [(rule.precondition, rule.action) for rule in system.rules]
     max_len = system.max_memory_len

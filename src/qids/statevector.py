@@ -27,16 +27,14 @@ the engine it checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NormDrift, ZeroProbability
-from .limits import check_size
+from .errors import InputError, ZeroProbability
+from .limits import check_size, check_total
 from .production import MarkedRuns, ProductionSystem, deterministic_trace
 
-MEASURE_NORM_TOL = 1e-6
 PROJECT_FLOOR = 1e-12
 
 
@@ -114,18 +112,11 @@ def simulated_success(marks: np.ndarray, m: int, coeff: float = 2.0) -> float:
     return float(np.sum(np.abs(amplified_state(marks, m, coeff)[marks]) ** 2))
 
 
-def check_total(total: float) -> None:
-    """Raise NormDrift if the norm sqrt(total) of a Born total strays past MEASURE_NORM_TOL."""
-    norm = math.sqrt(total)
-    if abs(norm - 1.0) > MEASURE_NORM_TOL:
-        raise NormDrift(f"state norm = {norm:.9f} drifted beyond {MEASURE_NORM_TOL}")
-
-
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one flat index from a Born probability vector.
 
-    The vector must sum to 1 within MEASURE_NORM_TOL (`check_total`); it is
-    renormalised before the draw.
+    The vector must sum to 1 within `limits.MEASURE_NORM_TOL` (`check_total`);
+    it is renormalised before the draw.
     """
     total = probs.sum()
     check_total(total)

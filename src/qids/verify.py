@@ -18,6 +18,7 @@ empirical frequency bound has margin.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -26,9 +27,10 @@ from functools import cache
 import numpy as np
 
 from . import driver
-from .driver import (QidConfig, amplified_probabilities, call_budget_rows, literal_iterations,
-                     optimal_iterations, predicted_success_exact, quantum_iterative_deepening,
-                     report_within_call_budget, success_row, vector_draw)
+from .driver import (QidConfig, amplified_probabilities, amplified_weights, call_budget_rows,
+                     literal_iterations, optimal_iterations, predicted_success_exact,
+                     quantum_iterative_deepening, report_within_call_budget, success_row,
+                     vector_draw)
 from .errors import QidsError
 from .production import (Alphabet, MarkedRuns, ProductionSystem, Rule, classical_ids,
                          deterministic_trace, execute_sequence, marked_vector)
@@ -47,6 +49,10 @@ CLEAN_D_MAX = 6  # the deepest d* a corpus system may have
 MEASUREMENT_DRAWS = 10_000
 UNITARITY_ITERATIONS = 1000
 DRAW_SEEDS = 40
+# seeds of one to seven 32-bit words and depths of one and two, on both sides of a
+# word boundary
+GRID_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**200)
+GRID_DEPTHS = (*range(25), 2**32, 2**33)
 
 
 @dataclass
@@ -463,33 +469,56 @@ def check_engine_agreement(coeff: float = 2.0) -> tuple[bool, str]:
 
 
 def check_draw_agreement() -> tuple[bool, str]:
-    """The search's inverse-CDF draw measures what `rng.choice` over the vector does.
+    """The search's inverse-CDF draw measures what `rng.choice` over the vector does,
+    from the double numpy's generator gives.
 
     On `check_engine_agreement`'s registers, and on registers of 4096
     sequences with none and with all of them marked, each over DRAW_SEEDS
     seeds, the seeded `driver.measure` must equal `driver.vector_draw` over
-    `amplified_probabilities`. The draw relies
-    on how numpy's `choice` turns one double into an index; a numpy that
-    changes it fails here.
+    `amplified_probabilities`, and on each register the first seed's
+    double must draw the same index through `driver.vector_index`, the
+    fallback that repeats numpy's arithmetic for a double on a step edge.
+    The draw relies on how numpy's `choice` turns one double into an index,
+    and the search computes that double itself (`driver.depth_uniform`);
+    so on every (seed, depth) drawn here and on the GRID_SEEDS x GRID_DEPTHS
+    grid, the owned double must equal the first double of numpy's
+    `driver.depth_rng`. A numpy that changes any of these fails here.
     """
     cases = _closed_form_registers()
     n = 4096
     for runs in (MarkedRuns(n), MarkedRuns(n, [(0, n)])):
         cases += [(runs, 12, m) for m in (0, 1, optimal_iterations(n, 1), literal_iterations(n))]
     draws = fallbacks = 0
-    problems = []
+    problems, fallback_problems = [], []
+    seeds = range(RUN_SEED_BASE, RUN_SEED_BASE + DRAW_SEEDS)
     for c, (runs, depth, m) in enumerate(cases):
         probs = amplified_probabilities(bitmap(runs), m)
-        for seed in range(RUN_SEED_BASE, RUN_SEED_BASE + DRAW_SEEDS):
+        register = f"register {c} (N={runs.n}, k={runs.k}, m={m})"
+        for seed in seeds:
             index, _, fast = driver.measure(runs, m, seed, depth)
             expected = vector_draw(probs, seed, depth)
             draws += 1
             fallbacks += not fast
             if index != expected:
-                problems.append(f"register {c} (N={runs.n}, k={runs.k}, m={m}) seed {seed}: "
-                                f"drew {index}, rng.choice drew {expected}")
+                problems.append(f"{register} seed {seed}: drew {index}, rng.choice drew {expected}")
+            if seed == seeds[0]:
+                u = driver.depth_uniform(seed, depth)
+                index = driver.vector_index(runs, *amplified_weights(runs.n, runs.k, m), u)
+                if index != expected:
+                    fallback_problems.append(f"{register} seed {seed}: the fallback drew {index}, "
+                                             f"rng.choice drew {expected}")
     detail = (f"{draws - len(problems)}/{draws} draws over {len(cases)} registers agree; "
-              f"{fallbacks} took the vector fallback")
+              f"{fallbacks} took the vector fallback; the fallback drew rng.choice's index on "
+              f"{len(cases) - len(fallback_problems)}/{len(cases)} registers")
+    problems += fallback_problems
+    pairs = sorted({(seed, depth) for _, depth, _ in cases for seed in seeds}
+                   | set(itertools.product(GRID_SEEDS, GRID_DEPTHS)))
+    differ = [f"seed {seed} depth {depth}: the owned double differs from numpy's"
+              for seed, depth in pairs
+              if driver.depth_uniform(seed, depth) != driver.depth_rng(seed, depth).random()]
+    detail += (f"; owned doubles equal numpy's on {len(pairs) - len(differ)}/{len(pairs)} "
+               f"(seed, depth) pairs")
+    problems += differ
     if problems:
         detail += "; " + "; ".join(problems[:4])
     return not problems, detail
@@ -525,7 +554,8 @@ def run_checks(names: list[str] | None = None,
     selected = names or list(ALL_CHECKS)
     unknown = [n for n in selected if n not in ALL_CHECKS]
     if unknown:
-        raise QidsError(f"unknown check(s): {', '.join(unknown)}")
+        raise QidsError(f"unknown check(s): {', '.join(unknown)}; "
+                        f"the checks are {', '.join(ALL_CHECKS)}")
     if inject_fault not in (None, "diffusion"):
         raise QidsError(f"unknown fault {inject_fault!r}")
     coeff = 2.0 + 1e-3 if inject_fault == "diffusion" else 2.0

@@ -17,7 +17,7 @@ from qids.cli import main
 from qids.production import load_system
 from qids.statevector import measure
 from qids.turing import decode_config, load_tm
-from qids.verify import _chi_square_pvalue, check_measurement_statistics
+from qids.verify import ALL_CHECKS, _chi_square_pvalue, check_measurement_statistics
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 TREE = str(DEMOS / "tree_search.json")
@@ -414,6 +414,8 @@ def test_verify_injected_fault_fails_every_dense_check_and_runs_them_all(capsys)
 def test_verify_unknown_check_errors(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "no-such-check")
     assert code == 1
+    assert err.startswith("error: unknown check(s): no-such-check")
+    assert all(name in err for name in ALL_CHECKS)
 
 
 def _cells_with_statistic(statistic, df):
@@ -607,6 +609,28 @@ def test_verify_measurement_statistics_runs_without_scipy():
                      "sys.exit(qids.cli.main(['verify', '--only', 'measurement-statistics']))")
     assert run.returncode == 0, run.stderr
     assert "PASS measurement-statistics" in run.stdout
+
+
+def test_run_loads_neither_numpy_nor_the_reference_engine_nor_the_gate(tmp_path):
+    """`import qids.cli`, a seeded `qids run` and the amplified run of a compiled machine
+    leave numpy, `qids.statevector` and `qids.verify` unloaded."""
+    system = str(tmp_path / "unary.json")
+    run = run_python(f"""
+import contextlib, io, sys
+import qids.cli
+
+def loaded():
+    return sorted(m for m in ('numpy', 'qids.statevector', 'qids.verify') if m in sys.modules)
+
+seen = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [qids.cli.main(['run', {TREE!r}, '--seed', '42', '--depth-cap', '6']),
+             qids.cli.main(['compile-tm', {UNARY_TM!r}, '-o', {system!r}, '--tape', '11']),
+             qids.cli.main(['run', {system!r}, '--seed', '1', '--depth-cap', '8'])]
+print(codes, seen + [loaded()])
+""")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[0, 0, 0] [[], []]\n"
 
 
 def test_readme_python_blocks_run(monkeypatch):

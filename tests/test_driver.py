@@ -148,6 +148,18 @@ def test_depth_rng_split_is_stable():
     assert draws_a != depth_rng(5, 4).integers(0, 1000, size=4).tolist()
 
 
+@settings(max_examples=500, deadline=None)
+# seeds and depths on both sides of 32-bit word boundaries, where the entropy grows a word
+@example(seed=2**32 - 1, depth=2**32 - 1)
+@example(seed=2**128 - 1, depth=2**32)
+@example(seed=2**128, depth=0)
+@example(seed=2**160, depth=2**40)
+@given(seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**160)),
+       depth=st.one_of(st.integers(0, 64), st.integers(0, 2**40)))
+def test_owned_double_is_numpys_first_double(seed, depth):
+    assert driver.depth_uniform(seed, depth) == depth_rng(seed, depth).random()
+
+
 @st.composite
 def registers(draw_from):
     n = draw_from(st.integers(1, 3000))
@@ -166,6 +178,23 @@ def test_draw_is_the_rng_choice_index(register, m, seed, depth):
     assert marked == bitmap(register)[index]
 
 
+@st.composite
+def float_lists(draw_from):
+    """Non-negative doubles: up to 300 of any size, or up to 20,000 of two values."""
+    values = st.floats(0, 1e6)
+    if draw_from(st.booleans()):
+        return draw_from(st.lists(values, max_size=300))
+    n, a, b = draw_from(st.integers(300, 20_000)), draw_from(values), draw_from(values)
+    rng = np.random.default_rng(draw_from(st.integers(0, 2**32 - 1)))
+    return np.where(rng.random(n) < draw_from(st.floats(0, 1)), a, b).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=float_lists())
+def test_pairwise_sum_is_numpys_sum(values):
+    assert driver._pairwise_sum(values, 0, len(values)) == np.array(values, dtype=float).sum()
+
+
 class FixedDouble(np.random.Generator):
     """A generator whose every uniform double is u, in `choice` as well."""
 
@@ -177,6 +206,12 @@ class FixedDouble(np.random.Generator):
         return self.u
 
 
+def draw_both_at(monkeypatch, u):
+    """Give the search's own double and the reference generator the double u."""
+    monkeypatch.setattr(driver, "depth_uniform", lambda seed, depth: u)
+    monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(u))
+
+
 def test_draw_on_a_step_edge_falls_back_and_agrees(monkeypatch):
     # every flat step carries mass: 0.14 per marked entry, 0.0155 per unmarked one
     runs, m = MarkedRuns(8, [(2, 1), (5, 2)]), 1
@@ -185,11 +220,28 @@ def test_draw_on_a_step_edge_falls_back_and_agrees(monkeypatch):
     edges = np.concatenate(([0.0], cdf[:-1])) / cdf[-1]
     mids = (edges + np.append(edges[1:], 1.0)) / 2
     for f in range(2 * runs.n):
-        monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(edges[f]))
+        draw_both_at(monkeypatch, edges[f])
         index = vector_draw(probs, 0, 3)
         assert measure(runs, m, 0, 3) == (index, runs.locate(index)[1], False)
-        monkeypatch.setattr(driver, "depth_rng", lambda seed, depth: FixedDouble(mids[f]))
+        draw_both_at(monkeypatch, mids[f])
         assert measure(runs, m, 0, 3) == (f // 2, runs.locate(f // 2)[1], True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(register=registers(), m=st.integers(0, 120), data=st.data())
+def test_fallback_draw_on_step_edges_is_the_rng_choice_index(register, m, data):
+    """At a double on or one ulp beside a step edge of numpy's computed cdf, where the
+    inverse CDF gives way, the fallback draws the index `rng.choice` draws."""
+    probs = amplified_probabilities(bitmap(register), m)
+    cdf = np.cumsum(probs / probs.sum())
+    edges = np.concatenate(([0.0], cdf[:-1] / cdf[-1]))
+    edge = edges[data.draw(st.integers(0, len(edges) - 1))]
+    u = data.draw(st.sampled_from([edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        draw_both_at(monkeypatch, float(u))
+        index, marked, _ = measure(register, m, 0, 0)
+        assert index == vector_draw(probs, 0, 0)
+    assert marked == bitmap(register)[index]
 
 
 def test_one_locate_per_inverse_cdf_round(fig_tree, monkeypatch):
@@ -217,7 +269,7 @@ def test_perturbed_total_raises_norm_drift_before_the_draw(monkeypatch):
     def no_generator(seed, depth):
         raise AssertionError("drew before checking the total")
 
-    monkeypatch.setattr(driver, "depth_rng", no_generator)
+    monkeypatch.setattr(driver, "depth_uniform", no_generator)
     with pytest.raises(NormDrift):
         measure(MarkedRuns(64, [(3, 1)]), 6, 0, 6)
 
