@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import functools
 import json
-import logging
 import sys
 
 from .driver import (COUNTING_MODES, ITERATE_POLICIES, QidConfig, call_budget_rows,
@@ -24,7 +23,6 @@ from .errors import InputError, QidsError
 from .jsonfields import save_json_file
 from .limits import check_float_range, register_fits
 from .production import classical_ids, load_system, save_system
-from .turing import compile_tm, load_tm
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -112,6 +110,8 @@ def _log_to_stderr(enabled: bool):
     if not enabled:
         yield
         return
+    import logging
+
     logger = logging.getLogger("qids")
     handler, level = logging.StreamHandler(sys.stderr), logger.level
     logger.addHandler(handler)
@@ -147,6 +147,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compile_tm(args) -> int:
+    from .turing import compile_tm, load_tm
+
     tm = load_tm(args.machine)
     tapes = tuple(args.tape) if args.tape else ("",)
     system = compile_tm(tm, input_tapes=tapes)

@@ -70,16 +70,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 import operator
 import sys
 import time
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
 from .errors import InputError, KZero, SizeLimit
 from .limits import check_float_range, check_size, check_total, register_fits, sim_cap
@@ -90,13 +88,10 @@ from .production import (ClassicalSearchResult, MarkedRuns, ProductionSystem, Ru
 if TYPE_CHECKING:
     import numpy as np
 
-log = logging.getLogger(__name__)
-
 COUNTING_MODES = ("exact", "assume_one")
 ITERATE_POLICIES = ("optimal", "faithful")
 
 
-@dataclass(frozen=True)
 class QidConfig:
     """Knobs for one search run.
 
@@ -110,13 +105,14 @@ class QidConfig:
     and the search still advances).
     """
 
-    seed: int
-    depth_cap: int | None = None
-    counting_mode: str = "exact"
-    iterate_policy: str = "optimal"
-    skip_empty_depths: bool = True
+    counting_mode = "exact"
+    iterate_policy = "optimal"
 
-    def __post_init__(self):
+    def __init__(self, seed: int, depth_cap: int | None = None,
+                 counting_mode: str = counting_mode, iterate_policy: str = iterate_policy,
+                 skip_empty_depths: bool = True):
+        self.seed, self.depth_cap, self.counting_mode = seed, depth_cap, counting_mode
+        self.iterate_policy, self.skip_empty_depths = iterate_policy, skip_empty_depths
         if self.seed < 0:
             raise InputError("seed must be >= 0")
         if self.depth_cap is not None and self.depth_cap < 0:
@@ -127,38 +123,39 @@ class QidConfig:
             raise InputError(f"iterate_policy must be one of {ITERATE_POLICIES}")
 
 
-@dataclass
 class DepthRecord:
-    depth: int
-    n_paths: int
-    k: int
-    m: int
-    oracle_calls: int
-    predicted_success: float
-    skipped: bool
-    measured_index: int | None
-    measured_sequence: RuleSequence | None
-    measured_halting: bool | None
+    def __init__(self, depth: int, n_paths: int, k: int, m: int, oracle_calls: int,
+                 predicted_success: float, skipped: bool, measured_index: int | None,
+                 measured_sequence: RuleSequence | None, measured_halting: bool | None):
+        self.depth, self.n_paths, self.k, self.m = depth, n_paths, k, m
+        self.oracle_calls, self.predicted_success = oracle_calls, predicted_success
+        self.skipped, self.measured_index = skipped, measured_index
+        self.measured_sequence, self.measured_halting = measured_sequence, measured_halting
 
 
-@dataclass
 class SearchReport:
-    SCHEMA: ClassVar[str] = "qids.search-report/1"
+    SCHEMA = "qids.search-report/1"
 
-    found: bool
-    d_star: int | None
-    witness: RuleSequence | None
-    goal_state: str | None
-    measured_depth: int | None
-    per_depth: list[DepthRecord]
-    total_oracle_calls: int
-    seed: int
-    config: QidConfig
-    wall_time_s: float
+    def __init__(self, found: bool, d_star: int | None, witness: RuleSequence | None,
+                 goal_state: str | None, measured_depth: int | None,
+                 per_depth: list[DepthRecord], total_oracle_calls: int, seed: int,
+                 config: QidConfig, wall_time_s: float):
+        self.found, self.d_star, self.witness, self.goal_state = found, d_star, witness, goal_state
+        self.measured_depth, self.per_depth = measured_depth, per_depth
+        self.total_oracle_calls, self.seed, self.config = total_oracle_calls, seed, config
+        self.wall_time_s = wall_time_s
 
     @property
     def outcome(self) -> str:
         return "found" if self.found else "cap_exceeded"
+
+
+def _info(msg: str, *args) -> None:
+    """Log an INFO line to this module's logger once something has loaded
+    `logging`; until then no handler exists that could show it."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).info(msg, *args)
 
 
 def depth_rng(master_seed: int, depth: int) -> np.random.Generator:
@@ -491,8 +488,8 @@ def measure(runs: MarkedRuns, m: int, seed: int, depth: int) -> tuple[int, bool,
     else:
         index = vector_index(runs, p_marked, p_unmarked, u)
         marked = runs.locate(index)[1]
-    log.info("depth=%d k=%d m=%d index=%d halting=%s draw=%s", depth, k, m, index, marked,
-             "inverse-cdf" if fast else "vector")
+    _info("depth=%d k=%d m=%d index=%d halting=%s draw=%s", depth, k, m, index, marked,
+          "inverse-cdf" if fast else "vector")
     return index, marked, fast
 
 
@@ -520,7 +517,7 @@ def quantum_iterative_deepening(system: ProductionSystem, start: str,
         runs = marked_vector(system, start, depth)
         k = runs.k
         if k == 0 and config.skip_empty_depths:
-            log.info("depth=%d k=0 skipped", depth)
+            _info("depth=%d k=0 skipped", depth)
             per_depth.append(DepthRecord(depth, n_paths, 0, 0, 0, 0.0, True, None, None, None))
             continue
         k_policy = k if config.counting_mode == "exact" else 1

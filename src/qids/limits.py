@@ -3,18 +3,28 @@
 Dense amplitude storage means memory scales linearly with the number of
 basis states, so the marking walk's path space, the closed-form probability
 vector (built by the search only when its draw falls back to it) and
-statevector allocation all refuse to grow past a cap. The marking walk's
-runs are not held to the cap itself: interleaved marks weigh up to about 8
-bytes a sequence, so one walk may build about 8 times the cap in bytes. The
-marking cache holds runs, the start strings of its keys and the frontiers
-of its chains, at most the cap in bytes of them, plus about 500 bytes of
-bookkeeping an entry; it holds the systems themselves only weakly. A chain
-starts at depth 0 and carries one frontier, the live nodes of its deepest
-depth, at `sys.getsizeof(memory) + 16` bytes a node; a frontier that passes
-the cap is dropped, and later depths walk from the root. The same cap
-bounds classical iterative deepening's node expansions and the halt demo's
-step trace. The default (2**22) can be overridden with the QIDS_SIM_CAP
+statevector allocation all refuse to grow past a cap. The same cap bounds
+classical iterative deepening's node expansions and the halt demo's step
+trace. The default (2**22) can be overridden with the QIDS_SIM_CAP
 environment variable.
+
+What a unit of the cap costs in bytes, per layer (tracemalloc, 64-bit
+CPython 3.11):
+
+- the dense register (`statevector`, `qids predict`'s simulated column):
+  81-97 bytes a sequence at its peak, d = 12-18; a sequence takes two
+  amplitudes of the cap, so about 40-49 bytes a unit;
+- the marking walk's runs: about 16 bytes a run, so up to 8.2-8.8 bytes a
+  sequence when every other sequence is marked, the most runs a depth can
+  have. The cap bounds the path space, not the runs, so one walk may build
+  about 8.5 times the cap in bytes;
+- the marking cache: at most the cap in bytes of runs, start strings of its
+  keys and frontiers, plus about 500 bytes of bookkeeping an entry; it
+  holds systems only weakly;
+- a chain's frontier, the live nodes of its deepest depth: counted in the
+  cache at `sys.getsizeof(memory) + 16` bytes a node, within 2 bytes of what
+  tracemalloc reads. A chain starts at depth 0; a frontier that passes the
+  cap is dropped, and later depths walk from the root.
 
 `check_total` holds a Born total, the squared norm of the state a draw
 samples, to MEASURE_NORM_TOL; the closed-form search and the dense

@@ -22,6 +22,11 @@ sorted, read-only runs of consecutive sequence indices, which answer k and,
 with one binary search, the rank M(i) and "is sequence i marked". No b**d
 bitmap is built; the dense reference in `statevector` builds one from the runs when it
 needs it. This module imports no numpy.
+
+The records here and in `driver` and `turing` are plain classes, not
+dataclasses: `qids run` loads this module, and `dataclasses` would load
+`inspect`, `dis` and `ast` at every start-up. `statevector` and `verify`,
+which import numpy anyway, keep `@dataclass`.
 """
 
 from __future__ import annotations
@@ -31,26 +36,47 @@ import sys
 import weakref
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
 from .jsonfields import (check_object, load_json_file, read_field, read_list_of,
                          save_json_file)
 from .limits import check_size, sim_cap
 
+if TYPE_CHECKING:
+    from typing import Callable, Iterable, Iterator, Sequence
+
 GOAL_MATCH_MODES = ("exact", "substring")
 
 RuleSequence = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Value:
+    """Equality, hashing and repr by the public fields, in the order `__init__`
+    sets them, as a frozen dataclass has them; a private attribute, such as a
+    cached table, is not a field. A later assignment is not refused, since a
+    `__setattr__` guard slowed `tm_compiled` searches about 3 %; qids never
+    reassigns a field, which the marking cache, keyed by identity, relies on."""
+
+    def _fields(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name[0] != "_"}
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Alphabet(Value):
     """Ordered set of distinct single-character printable symbols."""
 
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
+    def __init__(self, symbols: tuple[str, ...]):
+        self.symbols = symbols
         if not self.symbols:
             raise InputError("alphabet must be non-empty")
         for sym in self.symbols:
@@ -65,20 +91,16 @@ class Alphabet:
                 raise AlphabetMismatch(f"{what} {s!r} uses symbol {ch!r} outside the alphabet")
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Value):
     """Rewrite rule: replace an occurrence of `precondition` with `action`."""
 
-    precondition: str
-    action: str
-
-    def __post_init__(self):
+    def __init__(self, precondition: str, action: str):
+        self.precondition, self.action = precondition, action
         if not self.precondition:
             raise InputError("rule precondition must be non-empty")
 
 
-@dataclass(frozen=True)
-class ProductionSystem:
+class ProductionSystem(Value):
     """A rewriting system with designated initial and goal strings.
 
     `rules` keep their construction order; rule sequences refer to rules by
@@ -87,14 +109,15 @@ class ProductionSystem:
     state-register labelling used by the statevector engine).
     """
 
-    alphabet: Alphabet
-    rules: tuple[Rule, ...]
-    initial_states: tuple[str, ...]
-    goal_states: tuple[str, ...]
-    max_memory_len: int = 64
-    goal_match: str = "exact"
+    max_memory_len = 64
+    goal_match = "exact"
 
-    def __post_init__(self):
+    def __init__(self, alphabet: Alphabet, rules: tuple[Rule, ...],
+                 initial_states: tuple[str, ...], goal_states: tuple[str, ...],
+                 max_memory_len: int = max_memory_len, goal_match: str = goal_match):
+        self.alphabet, self.rules = alphabet, rules
+        self.initial_states, self.goal_states = initial_states, goal_states
+        self.max_memory_len, self.goal_match = max_memory_len, goal_match
         if not self.rules:
             raise InputError("a production system needs at least one rule")
         if not self.initial_states or not self.goal_states:
@@ -122,7 +145,6 @@ class ProductionSystem:
         return len(self.rules)
 
 
-@dataclass
 class Replay:
     """Rewrites from a start string: `trace` lists the memories visited (trace[0]
     is the start), `goal_step` counts the rewrites that first reached a goal
@@ -130,16 +152,14 @@ class Replay:
     "inapplicable" or "overflow" for `execute_sequence`; "goal", "stuck", "cap"
     or "overflow" for `deterministic_trace`."""
 
-    trace: list[str]
-    goal_step: int | None
-    stop_reason: str
+    def __init__(self, trace: list[str], goal_step: int | None, stop_reason: str):
+        self.trace, self.goal_step, self.stop_reason = trace, goal_step, stop_reason
 
     @property
     def halted(self) -> bool:
         return self.goal_step is not None
 
 
-@dataclass
 class ClassicalSearchResult:
     """Result of classical iterative deepening; `driver.report_to_json` writes it.
 
@@ -148,12 +168,12 @@ class ClassicalSearchResult:
     within the depth cap. nodes_expanded counts expansions over all rounds.
     """
 
-    SCHEMA: ClassVar[str] = "qids.classical-report/1"
+    SCHEMA = "qids.classical-report/1"
 
-    d_star: int | None
-    witness: RuleSequence | None
-    goal_state: str | None
-    nodes_expanded: int
+    def __init__(self, d_star: int | None, witness: RuleSequence | None,
+                 goal_state: str | None, nodes_expanded: int):
+        self.d_star, self.witness, self.goal_state = d_star, witness, goal_state
+        self.nodes_expanded = nodes_expanded
 
     @property
     def found(self) -> bool:

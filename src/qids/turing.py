@@ -27,12 +27,11 @@ write, move]) and `tape_window`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EncodingClash, InputError, MalformedEncoding, TapeOverflow
 from .jsonfields import check_object, load_json_file, read_field, read_list_of
-from .production import Alphabet, ProductionSystem, Rule
+from .production import Alphabet, Value, ProductionSystem, Rule
 
 MOVES = ("L", "R", "S")
 
@@ -40,21 +39,15 @@ LEFT_MARKER = "^"
 RIGHT_MARKER = "$"
 
 
-@dataclass(frozen=True)
-class DeltaEntry:
-    state: str
-    read: str
-    next_state: str
-    write: str
-    move: str
-
-    def __post_init__(self):
+class DeltaEntry(Value):
+    def __init__(self, state: str, read: str, next_state: str, write: str, move: str):
+        self.state, self.read, self.next_state = state, read, next_state
+        self.write, self.move = write, move
         if self.move not in MOVES:
             raise InputError(f"move must be one of {MOVES}, got {self.move!r}")
 
 
-@dataclass(frozen=True)
-class TuringMachineSpec:
+class TuringMachineSpec(Value):
     """Finite control plus a bounded-window tape.
 
     The transition table must be total over (non-halt state, tape symbol)
@@ -63,15 +56,13 @@ class TuringMachineSpec:
     plain strings.
     """
 
-    states: tuple[str, ...]
-    start: str
-    halts: frozenset[str]
-    blank: str
-    tape_alphabet: tuple[str, ...]
-    entries: tuple[DeltaEntry, ...]
-    tape_window: int = 64
+    tape_window = 64
 
-    def __post_init__(self):
+    def __init__(self, states: tuple[str, ...], start: str, halts: frozenset[str], blank: str,
+                 tape_alphabet: tuple[str, ...], entries: tuple[DeltaEntry, ...],
+                 tape_window: int = tape_window):
+        self.states, self.start, self.halts, self.blank = states, start, halts, blank
+        self.tape_alphabet, self.entries, self.tape_window = tape_alphabet, entries, tape_window
         if len(set(self.states)) != len(self.states):
             raise InputError("duplicate machine states")
         if self.start not in self.states:
@@ -114,13 +105,9 @@ class TuringMachineSpec:
         return self._table.get((state, sym), ())
 
 
-@dataclass(frozen=True)
-class TMConfiguration:
-    tape: str
-    head: int
-    state: str
-
-    def __post_init__(self):
+class TMConfiguration(Value):
+    def __init__(self, tape: str, head: int, state: str):
+        self.tape, self.head, self.state = tape, head, state
         if not self.tape:
             raise InputError("configuration tape must be non-empty")
         if not 0 <= self.head < len(self.tape):

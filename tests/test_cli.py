@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
+import hashlib
 import json
 import math
 import re
@@ -63,6 +64,29 @@ def test_run_verbose_logs_one_line_per_depth_to_stderr_only(capsys):
         for r in rows]
     # the handler goes when the command ends
     assert run_cli(capsys, *argv) == (0, quiet, "")
+
+
+def test_a_library_callers_logger_gets_the_lines_verbose_prints(capsys):
+    """A caller that loads `logging` after qids and gives the `qids` logger an INFO
+    handler gets from `quantum_iterative_deepening` the lines `qids run -v` prints."""
+    code, _, verbose = run_cli(capsys, "run", TREE, "--seed", "42", "--no-timestamp", "-v")
+    assert code == 0 and "halting=True" in verbose
+    run = run_python(f"""
+import sys
+before = set(sys.modules)
+from qids.driver import QidConfig, quantum_iterative_deepening
+from qids.production import load_system
+assert 'logging' in before or 'logging' not in sys.modules
+import logging
+
+logger = logging.getLogger('qids')
+logger.addHandler(logging.StreamHandler(sys.stdout))
+logger.setLevel(logging.INFO)
+system = load_system({TREE!r})
+quantum_iterative_deepening(system, system.initial_states[0], QidConfig(seed=42))
+""")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == verbose
 
 
 def test_run_unsatisfiable_exits_2(capsys):
@@ -631,6 +655,41 @@ print(codes, seen + [loaded()])
 """)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[0, 0, 0] [[], []]\n"
+
+
+# SHA-256 of compile-tm's output for the unary machine on tape 11, which importing the
+# compiler only inside compile-tm must leave unchanged
+UNARY_11_SHA256 = "a1e6f4acb45cf141c2b6b9ef277f758e765f21566a143297096e2b4e58e1d720"
+
+
+def test_run_loads_no_logging_dataclasses_or_compiler(tmp_path):
+    """`import qids.cli`, a seeded amplified `qids run` and a `--classical` run load none
+    of `logging`, `dataclasses`, `inspect` and `qids.turing`; a later `compile-tm` loads
+    the compiler and writes the bytes it always wrote. Only modules loaded after the
+    first snapshot count, so a site hook that preloads one of them fails nothing."""
+    system = tmp_path / "unary.json"
+    run = run_python(f"""
+import contextlib, io, sys
+before = set(sys.modules)
+import qids.cli
+
+def loaded():
+    return sorted(m for m in ('logging', 'dataclasses', 'inspect', 'qids.turing')
+                  if m in sys.modules and m not in before)
+
+seen = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [qids.cli.main(['run', {TREE!r}, '--seed', '42', '--depth-cap', '6'])]
+    seen.append(loaded())
+    codes.append(qids.cli.main(['run', {TREE!r}, '--seed', '42', '--classical']))
+    seen.append(loaded())
+    codes.append(qids.cli.main(['compile-tm', {UNARY_TM!r}, '-o', {str(system)!r},
+                                '--tape', '11']))
+print(codes, seen, loaded())
+""")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[0, 0, 0] [[], [], []] ['qids.turing']\n"
+    assert hashlib.sha256(system.read_bytes()).hexdigest() == UNARY_11_SHA256
 
 
 def test_readme_python_blocks_run(monkeypatch):

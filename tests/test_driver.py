@@ -17,8 +17,8 @@ from qids.driver import (QidConfig, SearchReport, amplified_probabilities, ampli
                          predicted_success_exact, quantum_iterative_deepening, report_to_json,
                          report_within_call_budget, vector_draw, within_call_budget)
 from qids.errors import InputError, NormDrift, SizeLimit
-from qids.production import (MAX_WALK_DEPTH, MarkedRuns, classical_ids, execute_sequence,
-                             marked_vector)
+from qids.production import (MAX_WALK_DEPTH, ClassicalSearchResult, MarkedRuns, classical_ids,
+                             execute_sequence, marked_vector)
 from qids.statevector import bitmap
 
 
@@ -126,6 +126,24 @@ def test_a_hand_built_report_is_written_as_json_dumps_writes_it(wall, monkeypatc
     record = driver.DepthRecord(0, 1, 0, 0, 0, wall, True, None, (), None)
     report = SearchReport(True, 0, (), goal, 0, [record], 0, 5, QidConfig(seed=5), wall)
     assert_written_as_json_dumps(report, monkeypatch)
+
+
+def test_report_records_keep_their_field_order():
+    """A report writes `vars()` of each record, so each record's fields keep the
+    order in which reports have always listed them."""
+    config = QidConfig(seed=5)
+    record = driver.DepthRecord(0, 1, 0, 0, 0, 0.0, True, None, None, None)
+    report = SearchReport(False, None, None, None, None, [record], 0, 5, config, 0.0)
+    assert list(vars(config)) == ["seed", "depth_cap", "counting_mode", "iterate_policy",
+                                  "skip_empty_depths"]
+    assert list(vars(record)) == ["depth", "n_paths", "k", "m", "oracle_calls",
+                                  "predicted_success", "skipped", "measured_index",
+                                  "measured_sequence", "measured_halting"]
+    assert list(vars(report)) == ["found", "d_star", "witness", "goal_state", "measured_depth",
+                                  "per_depth", "total_oracle_calls", "seed", "config",
+                                  "wall_time_s"]
+    assert list(vars(ClassicalSearchResult(None, None, None, 0))) == [
+        "d_star", "witness", "goal_state", "nodes_expanded"]
 
 
 def test_writing_a_report_leaves_nothing_for_the_cyclic_gc(fig_tree):

@@ -750,6 +750,28 @@ def test_system_file_round_trip(tmp_path, fig_tree):
     assert loaded == fig_tree
 
 
+@given(case=systems(max_lens=(3, 20)))
+def test_systems_compare_and_hash_by_value(case):
+    """A system read back from its dict equals it with an equal hash and repr, and
+    one with any field changed differs."""
+    system, _ = case
+    data = system_to_dict(system)
+    again = system_from_dict(data)
+    assert again is not system and again == system and hash(again) == hash(system)
+    assert repr(again) == repr(system)
+    changed = {
+        "alphabet": data["alphabet"] + ["z"],
+        "rules": data["rules"] + [{"pre": "a", "post": "aa"}],
+        "initial": data["initial"] + ["a"],
+        "goals": data["goals"] + ["aaaa"],
+        "max_memory_len": data["max_memory_len"] + 1,
+        "goal_match": "exact" if data["goal_match"] == "substring" else "substring",
+    }
+    assert set(changed) == set(data)
+    for field, value in changed.items():
+        assert system_from_dict({**data, field: value}) != system, field
+
+
 def test_system_dict_rejects_unknown_fields(fig_tree):
     data = system_to_dict(fig_tree)
     data["comment"] = "nope"

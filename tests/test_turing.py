@@ -244,3 +244,19 @@ def test_tm_dict_rejects_malformed_delta():
     data["delta"][0] = ["q", "1", "q"]
     with pytest.raises(InputError, match="delta"):
         tm_from_dict(data)
+
+
+def test_machine_specs_compare_and_hash_by_value():
+    """Two reads of one machine file are equal with equal hashes, also once one of
+    them has built its transition table, and a machine prints as it always has."""
+    data = json.loads(UNARY_TM.read_text())
+    tm, again = tm_from_dict(data), tm_from_dict(data)
+    assert len(tm.actions("q", "1")) == 1
+    assert tm == again and hash(tm) == hash(again)
+    assert tm != tm_from_dict({**data, "tape_window": data["tape_window"] + 1})
+    assert repr(tm) == (
+        "TuringMachineSpec(states=('q', 'h'), start='q', halts=frozenset({'h'}), blank='_', "
+        "tape_alphabet=('1', '_'), entries=(DeltaEntry(state='q', read='1', next_state='q', "
+        "write='1', move='R'), DeltaEntry(state='q', read='_', next_state='h', write='1', "
+        "move='S')), tape_window=24)")
+    assert hash(TMConfiguration("1_", 1, "q")) == hash(TMConfiguration("1_", 1, "q"))
