@@ -77,7 +77,6 @@ import time
 from array import array
 from bisect import bisect_right
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING
 
 from .errors import InputError, KZero, SizeLimit
 from .limits import check_float_range, check_size, check_total, register_fits, sim_cap
@@ -85,6 +84,7 @@ from .production import (ClassicalSearchResult, MarkedRuns, ProductionSystem, Ru
                          check_start, check_walk_depth, execute_sequence, index_to_sequence,
                          marked_vector)
 
+TYPE_CHECKING = False  # `typing.TYPE_CHECKING` without loading typing at start-up
 if TYPE_CHECKING:
     import numpy as np
 

@@ -10,7 +10,6 @@ reader and writer of system and machine files.
 from __future__ import annotations
 
 import json
-from typing import Callable
 
 from .errors import InputError
 
@@ -59,7 +58,7 @@ def check_object(data, allowed: set[str], owner: str) -> dict:
     return data
 
 
-def load_json_file(path, from_dict: Callable[[dict], object]):
+def load_json_file(path, from_dict):
     """`from_dict` of the JSON in the file at `path`; every InputError names the file."""
     with open(path, encoding="utf-8") as fh:
         try:

@@ -22,9 +22,9 @@ CPython 3.11):
   keys and frontiers, plus about 500 bytes of bookkeeping an entry; it
   holds systems only weakly;
 - a chain's frontier, the live nodes of its deepest depth: counted in the
-  cache at `sys.getsizeof(memory) + 16` bytes a node, within 2 bytes of what
-  tracemalloc reads. A chain starts at depth 0; a frontier that passes the
-  cap is dropped, and later depths walk from the root.
+  cache at `sys.getsizeof(memory) + 16` bytes a node, within 2 of what
+  tracemalloc reads; a chain starts at depth 0 and drops one past the cap;
+- the walk tables, goal set included: one per system, uncapped, while it lives.
 
 `check_total` holds a Born total, the squared norm of the state a draw
 samples, to MEASURE_NORM_TOL; the closed-form search and the dense

@@ -36,13 +36,13 @@ import sys
 import weakref
 from array import array
 from bisect import bisect_right
-from typing import TYPE_CHECKING
 
 from .errors import AlphabetMismatch, InputError, MemoryOverflow, SizeLimit
 from .jsonfields import (check_object, load_json_file, read_field, read_list_of,
                          save_json_file)
 from .limits import check_size, sim_cap
 
+TYPE_CHECKING = False  # `typing.TYPE_CHECKING` without loading typing at start-up
 if TYPE_CHECKING:
     from typing import Callable, Iterable, Iterator, Sequence
 
@@ -139,6 +139,15 @@ class ProductionSystem(Value):
                 raise InputError(f"initial state {s!r} exceeds max_memory_len")
         for s in self.goal_states:
             self.alphabet.check_string(s, "goal state")
+        # the walk tables, which every walk below reads and which live as long as the system
+        self._pairs = [(rule.precondition, rule.action) for rule in self.rules]
+        self._is_goal = _goal_test(self)
+        steps = [len(post) - len(pre) for pre, post in self._pairs]
+        self._steps = min(steps), max(steps)
+        self._goal_lengths = {len(goal) for goal in self.goal_states}
+
+    def __reduce__(self):  # pickle and copy rebuild the tables, as a goal test may be a closure
+        return type(self), tuple(self._fields().values())
 
     @property
     def branching_factor(self) -> int:
@@ -191,7 +200,7 @@ def check_start(system: ProductionSystem, start: str) -> None:
 
 
 def _goal_test(system: ProductionSystem) -> Callable[[str], bool]:
-    """The system's goal predicate on a memory string, built once per walk."""
+    """The system's goal predicate on a memory string, built once per system."""
     if system.goal_match == "exact":
         return frozenset(system.goal_states).__contains__
     goals = system.goal_states
@@ -202,7 +211,7 @@ def _walk(system: ProductionSystem, start: str, seq: Sequence[int]) -> Replay:
     """Apply a sequence of rule indices, tracking the shallowest goal hit."""
     system.alphabet.check_string(start, "start state")
     b = system.branching_factor
-    is_goal = _goal_test(system)
+    is_goal = system._is_goal
     memory = start
     trace = [memory]
     goal_step = 0 if is_goal(memory) else None
@@ -210,11 +219,11 @@ def _walk(system: ProductionSystem, start: str, seq: Sequence[int]) -> Replay:
     for step, idx in enumerate(seq, 1):
         if not 0 <= idx < b:
             raise InputError(f"rule index {idx} out of range for {b} rules")
-        rule = system.rules[idx]
-        if rule.precondition not in memory:
+        pre, post = system._pairs[idx]
+        if pre not in memory:
             stop_reason = "inapplicable"
             break
-        nxt = memory.replace(rule.precondition, rule.action, 1)
+        nxt = memory.replace(pre, post, 1)
         if len(nxt) > system.max_memory_len:
             stop_reason = "overflow"
             break
@@ -360,68 +369,73 @@ class MarkedRuns:
                 + sys.getsizeof(starts.obj) + sys.getsizeof(before.obj))
 
 
-class _Frontier:
-    """A chain's live, non-halting nodes of one depth: their indices and memories
-    in index order, with the tables that extend them by a level, built once
-    per chain. `nbytes` counts `sys.getsizeof(memory) + 16` a node, the memory
-    plus its slots in the index array and the memory list."""
+def _descend(system: ProductionSystem, runs: MarkedRuns, indices: Iterable[int],
+             memories: Iterable[str], levels: int, budget: int | None = None
+             ) -> tuple[MarkedRuns, tuple[array | None, list[str] | None, int]]:
+    """The one marking walk: depth d's runs from depth d0 = d - `levels` < d,
+    given d0's `runs` and its live, non-halting nodes' `indices` and
+    `memories` in index order.
 
-    __slots__ = ("indices", "memories", "nbytes", "pairs", "is_goal", "max_len")
+    A marked sequence's extensions are all marked, so each run of d0 becomes
+    one `b**levels` times as long, and the live nodes' subtrees are merged
+    in between. A subtree is walked depth first with an O(levels) stack that
+    shares rewriting work across common prefixes: a child that reaches a
+    goal is one run of all its extensions, added without descending, and a
+    dead child (inapplicable rule or overflow) adds nothing. The subtrees
+    come in index order, so the runs come sorted and merge as they are
+    added; no `b**d` bitmap is built. A rewrite of a string over the
+    alphabet by a rule over the alphabet stays in it, so once the rules (at
+    construction) and the start string (once per root walk) are checked, no
+    step needs an alphabet check; this holds for every walk in this module.
 
-    def __init__(self, system: ProductionSystem, start: str, runs: MarkedRuns):
-        """Depth 0's frontier, whose `runs` mark the start if it is a goal."""
-        self.pairs = [(rule.precondition, rule.action) for rule in system.rules]
-        self.is_goal = _goal_test(system)
-        self.max_len = system.max_memory_len
-        live = runs.k == 0
-        self.indices = array("q", [0] * live)
-        self.memories = [start] * live
-        self.nbytes = live * (sys.getsizeof(start) + 16)
+    With a `budget`, the descent keeps depth d's live leaves as a frontier
+    (indices, memories, bytes), counting `sys.getsizeof(memory) + 16` bytes
+    a leaf: the memory plus its slots in the index array and the memory
+    list. Once they pass the budget it drops them, leaving the memories
+    None, as it does without a budget.
+    """
+    pairs, is_goal, max_len = system._pairs, system._is_goal, system.max_memory_len
+    b = len(pairs)
+    scale = b**levels
+    kept_indices, kept = (None, None) if budget is None else (array("q"), [])
+    nbytes = 0
 
-    def extend(self, runs: MarkedRuns, b: int, n: int, cap: int) -> MarkedRuns:
-        """The n = b**d sequences' runs from depth d - 1's `runs`, moving the
-        frontier down to depth d; past `cap` bytes it is dropped (memories None).
+    def fill(add: Callable[[int, int], None]) -> None:
+        def down(memory: str, base: int, span: int, levels: int) -> None:
+            nonlocal kept_indices, kept, nbytes
+            span //= b
+            levels -= 1
+            for pre, post in pairs:
+                if pre in memory:
+                    child = memory.replace(pre, post, 1)
+                    if len(child) <= max_len:
+                        if is_goal(child):
+                            add(base, span)
+                        elif levels:
+                            down(child, base, span, levels)
+                        elif kept is not None:
+                            kept_indices.append(base)
+                            kept.append(child)
+                            nbytes += sys.getsizeof(child) + 16
+                            if nbytes > budget:
+                                kept_indices = kept = None
+                base += span
 
-        A marked sequence's children are all marked and a live node's halting
-        children are runs of span 1, so the runs of depth d are those of
-        d - 1 scaled by b, merged in index order with one run per halting
-        child. The live children are the new frontier.
-        """
-        pairs, is_goal, max_len = self.pairs, self.is_goal, self.max_len
-        parents, memories = self.indices, self.memories
-        indices: array | None = array("q")
-        children: list[str] | None = []
-        nbytes = 0
-
-        def fill(add: Callable[[int, int], None]) -> None:
-            nonlocal indices, children, nbytes
-            old = iter(runs)
-            run = next(old, None)
-            for parent, memory in zip(parents, memories):
-                while run is not None and run[0] < parent:
-                    add(run[0] * b, run[1] * b)
+        old = iter(runs)
+        run = next(old, None)
+        try:
+            for index, memory in zip(indices, memories):
+                while run is not None and run[0] < index:
+                    add(run[0] * scale, run[1] * scale)
                     run = next(old, None)
-                base = parent * b
-                for pre, post in pairs:
-                    if pre in memory:
-                        child = memory.replace(pre, post, 1)
-                        if len(child) <= max_len:
-                            if is_goal(child):
-                                add(base, 1)
-                            elif children is not None:
-                                indices.append(base)
-                                children.append(child)
-                                nbytes += sys.getsizeof(child) + 16
-                                if nbytes > cap:
-                                    indices = children = None
-                    base += 1
-            while run is not None:
-                add(run[0] * b, run[1] * b)
-                run = next(old, None)
+                down(memory, index * scale, scale, levels)
+        finally:
+            del down  # it reaches itself through its cell; without this it waits for the cyclic GC
+        while run is not None:
+            add(run[0] * scale, run[1] * scale)
+            run = next(old, None)
 
-        extended = MarkedRuns.filled(n, fill)
-        self.indices, self.memories, self.nbytes = indices, children, nbytes
-        return extended
+    return MarkedRuns.filled(runs.n * scale, fill), (kept_indices, kept, nbytes)
 
 
 def _byte_bounded_cache(walk):
@@ -442,19 +456,18 @@ def _byte_bounded_cache(walk):
     without being kept.
 
     Depths marked in order share one pass. A chain starts at depth 0 when a
-    goal is in reach there: its entry keeps the frontier `[start]`, or none
-    if the start is a goal. A miss at depth d whose depth d - 1 entry holds
-    the same live system and a frontier extends that frontier by one level
-    instead of walking from the root, and the frontier moves to the new
-    entry, so a chain holds one; an entry whose system died is never
-    extended. A root walk at d > 0 keeps no frontier. A frontier that
-    passes the cap is dropped as it grows; the chain ends there and later
-    depths walk from the root. Every miss checks the path space against
-    the cap, which it reads once for that check and its byte budget; the
-    walk itself does not check it.
+    goal is in reach there, keeping the start as its frontier, or none if
+    the start is a goal. A miss at depth d whose depth d - 1 entry holds the
+    same live system and a frontier descends one level from it, with the
+    cap as the byte budget, and the frontier moves to the new entry, or is
+    dropped past the cap, which ends the chain: later depths walk from the
+    root. An entry whose system died is never extended, and a root walk at
+    d > 0 keeps no frontier. Every miss checks the path space against the
+    cap, which it reads once for that check and the budget; the walk itself
+    does not check it.
     """
     entries: dict[tuple[int, str, int],
-                  tuple[weakref.ref, MarkedRuns, int, _Frontier | None]] = {}
+                  tuple[weakref.ref, MarkedRuns, int, tuple[array, list[str], int] | None]] = {}
     held = 0
 
     @functools.wraps(walk)
@@ -467,25 +480,24 @@ def _byte_bounded_cache(walk):
                 return entry[1]
             held -= entries.pop(key)[2]
         b = system.branching_factor
-        n = b**d
-        cap = check_size(n, f"path space b={b} d={d}")
+        cap = check_size(b**d, f"path space b={b} d={d}")
         parent_key = (id(system), start, d - 1)
         parent = entries.get(parent_key) if d else None
         frontier = parent[3] if parent is not None and parent[0]() is system else None
         if frontier is not None:
-            moved = frontier.nbytes
-            runs = frontier.extend(parent[1], b, n, cap)
+            indices, memories, moved = frontier
+            runs, frontier = _descend(system, parent[1], indices, memories, 1, cap)
             entries[parent_key] = (parent[0], parent[1], parent[2] - moved, None)
             held -= moved
-            if frontier.memories is None:
+            if frontier[1] is None:
                 frontier = None
         else:
             runs = walk(system, start, d)
             if d == 0 and _goal_in_reach(system, len(start), 0):
-                frontier = _Frontier(system, start, runs)
-        size = sys.getsizeof(runs) + sys.getsizeof(start)
-        if frontier is not None:
-            size += frontier.nbytes
+                live = runs.k == 0  # the start, unless it is a goal
+                frontier = (array("q", [0] * live), [start] * live,
+                            live * (sys.getsizeof(start) + 16))
+        size = sys.getsizeof(runs) + sys.getsizeof(start) + (frontier[2] if frontier else 0)
         if size <= cap:
             while held + size > cap:
                 held -= entries.pop(next(iter(entries)))[2]
@@ -504,29 +516,19 @@ def _byte_bounded_cache(walk):
 
 def _goal_in_reach(system: ProductionSystem, n0: int, d: int) -> bool:
     """Whether some goal's length lies in the reach of `d` rewrites of a length-`n0` start."""
-    steps = [len(rule.action) - len(rule.precondition) for rule in system.rules]
-    low = min(n0, n0 + d * min(steps)) if system.goal_match == "exact" else 0
-    high = max(n0, min(n0 + d * max(steps), system.max_memory_len))
-    for goal in system.goal_states:
-        if low <= len(goal) <= high:
-            return True
-    return False
+    low_step, high_step = system._steps
+    low = min(n0, n0 + d * low_step) if system.goal_match == "exact" else 0
+    high = max(n0, min(n0 + d * high_step, system.max_memory_len))
+    return any(low <= length <= high for length in system._goal_lengths)
 
 
 @_byte_bounded_cache
 def marked_vector(system: ProductionSystem, start: str, d: int) -> MarkedRuns:
     """The halting depth-d sequences as runs; sequence i is `index_to_sequence(i, b, d)`.
 
-    A depth-first walk with an O(d) stack that shares rewriting work across
-    common prefixes: once a prefix halts its whole subtree is one run of
-    marked sequences, added without descending, and a dead prefix
-    (inapplicable rule or overflow) adds nothing. The walk visits subtrees
-    in index order, so the runs come sorted and merge as they are added;
-    no `b**d` bitmap is built. A rewrite of a string over the alphabet by a
-    rule over the alphabet stays in it, so once the rules (at construction)
-    and the start string (once per walk) are checked, no step needs an
-    alphabet check; this holds for every walk in this module. The runs are
-    read-only, so the cache hands the same object to every caller
+    This is the root walk: the descent (`_descend`) from the start, or one
+    run of every sequence if the start is a goal. The runs are read-only,
+    so the cache hands the same object to every caller
     (`marked_vector.cache_clear()` empties the cache), and the cache checks
     the path space `b**d` against `QIDS_SIM_CAP` before it walks.
 
@@ -539,38 +541,13 @@ def marked_vector(system: ProductionSystem, start: str, d: int) -> MarkedRuns:
     rewritten memory outgrows `max_memory_len`. An `exact` goal must have a
     length in that range; a `substring` goal must be no longer than its top.
     """
-    b = system.branching_factor
-    n = b**d
+    n = system.branching_factor**d
     system.alphabet.check_string(start, "start state")
-    pairs = [(rule.precondition, rule.action) for rule in system.rules]
-    max_len = system.max_memory_len
-    is_goal = _goal_test(system)
-    spans = [b ** (d - depth) for depth in range(d + 1)]
-
-    def walk(mark: Callable[[int, int], None]) -> None:
-        def fill(memory: str, depth: int, base: int) -> None:
-            if is_goal(memory):
-                mark(base, spans[depth])
-                return
-            if depth == d:
-                return
-            depth += 1
-            child_span = spans[depth]
-            for pre, post in pairs:
-                if pre in memory:
-                    nxt = memory.replace(pre, post, 1)
-                    if len(nxt) <= max_len:
-                        fill(nxt, depth, base)
-                base += child_span
-
-        try:
-            fill(start, 0, 0)
-        finally:
-            del fill  # it reaches itself through its cell; without this it waits for the cyclic GC
-
     if not _goal_in_reach(system, len(start), d):
         return MarkedRuns(n)
-    return MarkedRuns.filled(n, walk)
+    if system._is_goal(start):
+        return MarkedRuns(n, [(0, n)])
+    return _descend(system, MarkedRuns(1), (0,), (start,), d)[0] if d else MarkedRuns(n)
 
 
 def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> ClassicalSearchResult:
@@ -586,9 +563,7 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
         raise InputError("depth_cap must be >= 0")
     check_walk_depth(depth_cap)
     check_start(system, start)
-    pairs = [(rule.precondition, rule.action) for rule in system.rules]
-    max_len = system.max_memory_len
-    is_goal = _goal_test(system)
+    pairs, is_goal, max_len = system._pairs, system._is_goal, system.max_memory_len
     budget = sim_cap()
     expanded = 0
 
@@ -622,7 +597,7 @@ def classical_ids(system: ProductionSystem, start: str, depth_cap: int) -> Class
                 return ClassicalSearchResult(len(witness), witness, goal_state, expanded)
         return ClassicalSearchResult(None, None, None, expanded)
     finally:
-        del dls  # break the closure's cycle through its own cell, as in marked_vector
+        del dls  # break the closure's cycle through its own cell, as in _descend
 
 
 def deterministic_trace(system: ProductionSystem, start: str, max_steps: int) -> Replay:
@@ -634,8 +609,7 @@ def deterministic_trace(system: ProductionSystem, start: str, max_steps: int) ->
     overflow, or after max_steps.
     """
     system.alphabet.check_string(start, "start state")
-    pairs = [(rule.precondition, rule.action) for rule in system.rules]
-    is_goal = _goal_test(system)
+    pairs, is_goal = system._pairs, system._is_goal
     memory = start
     trace = [memory]
     if is_goal(memory):

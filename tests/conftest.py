@@ -178,12 +178,13 @@ def reference_search(system, start, config):
     return False, None, total, rows
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
-    """Run `code` in a fresh interpreter that imports qids from this checkout."""
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter, started with `flags`, that imports qids from
+    this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
 
 

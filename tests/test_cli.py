@@ -664,9 +664,10 @@ UNARY_11_SHA256 = "a1e6f4acb45cf141c2b6b9ef277f758e765f21566a143297096e2b4e58e1d
 
 def test_run_loads_no_logging_dataclasses_or_compiler(tmp_path):
     """`import qids.cli`, a seeded amplified `qids run` and a `--classical` run load none
-    of `logging`, `dataclasses`, `inspect` and `qids.turing`; a later `compile-tm` loads
-    the compiler and writes the bytes it always wrote. Only modules loaded after the
-    first snapshot count, so a site hook that preloads one of them fails nothing."""
+    of `logging`, `dataclasses`, `inspect`, `typing` and `qids.turing`; a later
+    `compile-tm` loads the compiler and writes the bytes it always wrote. The interpreter
+    skips `site` (`-S`), whose hooks may preload any of them, and only modules loaded
+    after the first snapshot count, so a preloaded one fails nothing."""
     system = tmp_path / "unary.json"
     run = run_python(f"""
 import contextlib, io, sys
@@ -674,7 +675,7 @@ before = set(sys.modules)
 import qids.cli
 
 def loaded():
-    return sorted(m for m in ('logging', 'dataclasses', 'inspect', 'qids.turing')
+    return sorted(m for m in ('logging', 'dataclasses', 'inspect', 'typing', 'qids.turing')
                   if m in sys.modules and m not in before)
 
 seen = [loaded()]
@@ -686,7 +687,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(qids.cli.main(['compile-tm', {UNARY_TM!r}, '-o', {str(system)!r},
                                 '--tape', '11']))
 print(codes, seen, loaded())
-""")
+""", "-S")
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[0, 0, 0] [[], [], []] ['qids.turing']\n"
     assert hashlib.sha256(system.read_bytes()).hexdigest() == UNARY_11_SHA256

@@ -1,8 +1,10 @@
 """Rewriting semantics, path enumeration, and the classical search baselines."""
 
+import copy
 import gc
 import itertools
 import json
+import pickle
 import sys
 import tracemalloc
 import types
@@ -104,6 +106,16 @@ def test_system_validation():
         make_system([("A", "Z")])  # action off-alphabet
     with pytest.raises(InputError):
         make_system([("A", "B")], goal_match="fuzzy")
+
+
+def test_systems_pickle_and_copy_with_their_walk_tables():
+    """A copy is rebuilt from the fields, so it has its own walk tables, a substring
+    goal test included, and marks what the original marks."""
+    for goal_match in ("exact", "substring"):
+        system = make_system([("A", "AB"), ("B", "C")], goals=("BC",), goal_match=goal_match)
+        for copied in (pickle.loads(pickle.dumps(system)), copy.deepcopy(system)):
+            assert copied == system and copied._pairs == system._pairs
+            assert list(marked_vector(copied, "A", 4)) == list(marked_vector(system, "A", 4))
 
 
 # --- execute_sequence / halting_predicate ------------------------------------
@@ -310,6 +322,31 @@ def test_marking_skips_depths_whose_goal_lengths_are_out_of_reach(monkeypatch):
     assert len(tested) == 2**13 - 1
 
 
+def test_walk_tables_are_built_once_per_system(monkeypatch):
+    """Marking depths 0..D through the cache, chained or not, and as root walks, then a
+    classical search, a deterministic trace and a replay all read one set of walk tables
+    per system: its goal test is built once, not once a walk."""
+    built = []
+    real_goal_test = production._goal_test
+
+    def counting_goal_test(system):
+        built.append(system)
+        return real_goal_test(system)
+
+    monkeypatch.setattr(production, "_goal_test", counting_goal_test)
+    marked_vector.cache_clear()
+    cases = [(parity_system(8), "E"), (no_double_b_system(), "EE")]  # a root walk; a chain
+    for system, start in cases:
+        for d in range(9):
+            marked_vector(system, start, d)
+            marked_vector.__wrapped__(system, start, d)
+        classical_ids(system, start, 8)
+        deterministic_trace(system, start, 8)
+        halting_predicate(system, start, (0,) * 8)
+    marked_vector.cache_clear()
+    assert len(built) == len(cases) and all(b is s for b, (s, _) in zip(built, cases))
+
+
 def test_skipped_depth_keeps_every_boundary_check(monkeypatch):
     marked_vector.cache_clear()
     system = tree_system(12, "ab" * 6)
@@ -333,6 +370,23 @@ def test_interleaved_marks_make_a_third_as_many_runs_as_sequences():
     assert len(runs) == sum(x and not y for x, y in zip(expected, [False] + expected))
     assert len(runs) > 2**10 // 3
     assert sys.getsizeof(runs) >= 16 * len(runs)
+
+
+def test_prefix_structure_grows_counts():
+    system = tree_system(3)
+    k = {d: marked_vector(system, "E", d).k for d in range(7)}
+    for d in range(3, 6):
+        assert k[d + 1] >= 2 * k[d]
+
+
+def test_prefix_structure_grows_counts_on_random_systems():
+    for trial in range(8):
+        system, start = random_system(np.random.default_rng(5600 + trial))
+        b = system.branching_factor
+        for d in range(5):
+            k_here = marked_vector(system, start, d).k
+            k_next = marked_vector(system, start, d + 1).k
+            assert k_next >= b * k_here
 
 
 def test_marking_cache_is_bounded_by_bytes(monkeypatch):
@@ -402,25 +456,25 @@ def test_marking_cache_frees_dropped_systems_and_counts_start_strings(monkeypatc
 
 @pytest.fixture
 def chain_log(monkeypatch):
-    """What the marking cache does with frontiers from here on: ("start", bytes) for
-    each chain started at depth 0 and ("extend", d, bytes, cap, dropped) for each
-    depth d reached by extending one."""
+    """What the marking cache does with frontiers from here on, seen at the one
+    descent, which a chain's step calls with the cap as its byte budget: ("start",
+    bytes) for each chain that extends the frontier it started with at depth 0, and
+    ("extend", d, bytes, cap, dropped) for each depth d reached by extending one.
+    Root walks have no budget and are not logged."""
     log = []
+    descend = production._descend
 
-    class LoggedFrontier(production._Frontier):
-        __slots__ = ()
+    def logged(system, runs, indices, memories, levels, budget=None):
+        if budget is not None and runs.n == 1:
+            log.append(("start", sum(sys.getsizeof(memory) + 16 for memory in memories)))
+        extended, frontier = descend(system, runs, indices, memories, levels, budget)
+        if budget is not None:
+            b = system.branching_factor
+            depth = next(d for d in itertools.count() if b**d == extended.n)
+            log.append(("extend", depth, frontier[2], budget, frontier[1] is None))
+        return extended, frontier
 
-        def __init__(self, system, start, runs):
-            super().__init__(system, start, runs)
-            log.append(("start", self.nbytes))
-
-        def extend(self, runs, b, n, cap):
-            extended = super().extend(runs, b, n, cap)
-            depth = next(d for d in itertools.count() if b**d == n)
-            log.append(("extend", depth, self.nbytes, cap, self.memories is None))
-            return extended
-
-    monkeypatch.setattr(production, "_Frontier", LoggedFrontier)
+    monkeypatch.setattr(production, "_descend", logged)
     marked_vector.cache_clear()
     yield log
     marked_vector.cache_clear()
